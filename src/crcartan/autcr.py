@@ -338,15 +338,15 @@ def field_weight(m: RigidModel, X: HolField) -> int | None:
 def symbol_algebra(alg: AutAlgebra, grading, J=None) -> GradedAlgebra:
     """Check the grading and export the negative part as a graded algebra.
 
-    grading: degree per basis element (integers <= 0, at least one negative).
-    The negative part must be bracket-closed; J, when given, is the complex
-    structure matrix on the degree -1 block.
+    grading: degree per basis element (integers, at least one negative),
+    which every bracket must respect; only the negative part is exported.  J,
+    when given, is the complex structure matrix on the degree -1 block.
     """
     g = alg.algebra
     n = g.dim
     if len(grading) != n:
         raise AutCRError("grading length mismatch")
-    if all(d == 0 for d in grading):
+    if not any(d < 0 for d in grading):
         raise AutCRError("grading violation: no negative part")
     for j in range(n):
         for k in range(n):

@@ -312,10 +312,9 @@ def cmd_autcr(mf: ModelFile, args) -> dict:
     out["commutators"] = render_algebra(alg.algebra).splitlines()[1:]
     weights = [field_weight(m, b) for b in alg.basis]
     if all(w is not None for w in weights) and any(w < 0 for w in weights):
-        grading = [min(w, 0) for w in weights]
         try:
-            gm = symbol_algebra(alg, grading)
-            out["symbol_grading"] = " ".join(str(w) for w in grading)
+            gm = symbol_algebra(alg, weights)
+            out["symbol_grading"] = " ".join(str(w) for w in weights)
             out["symbol_label"] = recognize_dim_le5(gm.algebra)
         except (AutCRError, LieAlgebraError) as exc:
             out["symbol_label"] = f"unavailable ({exc})"

@@ -42,7 +42,12 @@ def mat_vec(A, v):
 
 
 def rref(M):
-    """Row-reduce in place (copy); returns (rref matrix, pivot columns)."""
+    """Row-reduce a copy of M; returns (rref matrix, pivot columns).
+
+    The pivot row is scaled, and the other rows are updated, only on the
+    pivot row's nonzero columns: the systems solved here (the tangency
+    equations of autcr above all) are mostly zeros.
+    """
     if not M:
         return [], []
     M = [row[:] for row in M]
@@ -54,12 +59,18 @@ def rref(M):
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        inv = GaussRat(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        prow = M[r]
+        # columns left of c are zero in every row from r down
+        nz = [j for j in range(c, cols) if not prow[j].is_zero]
+        inv = GaussRat(1) / prow[c]
+        for j in nz:
+            prow[j] = prow[j] * inv
         for i in range(rows):
-            if i != r and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+            row = M[i]
+            f = row[c]
+            if i != r and not f.is_zero:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         piv.append(c)
         r += 1
         if r == rows:
@@ -186,17 +197,17 @@ def validate(g: LieAlgebra):
                     bad.append(("antisymmetry", (j, k, s)))
     if bad:
         return bad
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    tot = GaussRat(0)
-                    for s in range(n):
-                        tot = tot + (g.c[k][l][s] * g.c[j][s][m]
-                                     + g.c[j][k][s] * g.c[l][s][m]
-                                     + g.c[l][j][s] * g.c[k][s][m])
-                    if not tot.is_zero:
-                        return [("jacobi", (j, k, l, m))]
+    # with antisymmetry the Jacobiator is alternating in (j, k, l), so the
+    # first violation in lexicographic order has j < k < l
+    for j, k, l in itertools.combinations(range(n), 3):
+        for m in range(n):
+            tot = GaussRat(0)
+            for s in range(n):
+                tot = tot + (g.c[k][l][s] * g.c[j][s][m]
+                             + g.c[j][k][s] * g.c[l][s][m]
+                             + g.c[l][j][s] * g.c[k][s][m])
+            if not tot.is_zero:
+                return [("jacobi", (j, k, l, m))]
     return "ok"
 
 
@@ -218,7 +229,8 @@ def lower_central_series(g: LieAlgebra):
                 gens.append(g.bracket(ej, v))
         R, piv = rref(gens) if gens else ([], [])
         nxt = [R[r] for r in range(len(piv))]
-        if span_dim(nxt, n) == span_dim(prev, n):
+        # every term is a basis (rows of an rref), so its length is its dim
+        if len(nxt) == len(prev):
             series.append(nxt)
             return series
         series.append(nxt)
@@ -267,7 +279,8 @@ def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7
     The supremum is over a Zariski-open set; it is approximated exactly by
     maximizing over the basis vectors and a bounded family of small-integer
     combinations (documented heuristic; exact on all classification table
-    members, which the tests verify).
+    members, which the tests verify).  Recognition does not use it: it keys
+    on exact invariants alone (see recognize_dim_le5).
     """
     n = g.dim
     derived = lower_central_series(g)[1]
@@ -298,17 +311,24 @@ def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7
     return best
 
 
+def _nilpotent_series(g: LieAlgebra) -> list:
+    """The lower central series, which ends in the zero space; raises on a
+    non-nilpotent algebra."""
+    series = lower_central_series(g)
+    if series[-1]:
+        raise LieAlgebraError(
+            f"not nilpotent: series stabilizes at dim {len(series[-1])}")
+    return series
+
+
 def nilpotent_invariants(g: LieAlgebra) -> dict:
     """Nilindex, kind, series dimensions, center, characteristic sequence."""
-    series = lower_central_series(g)
-    dims = [span_dim(s, g.dim) for s in series]
-    if dims[-1] != 0:
-        raise LieAlgebraError(f"not nilpotent: series stabilizes at dim {dims[-1]}")
-    kind = next(k for k in range(len(dims)) if dims[k] == 0)
+    dims = tuple(len(s) for s in _nilpotent_series(g))
+    kind = len(dims) - 1
     return {
         "nilindex": kind + 1,
         "kind": kind,
-        "series_dims": tuple(dims[:kind + 1]),
+        "series_dims": dims,
         "center_dim": len(center(g)),
         "characteristic_sequence": characteristic_sequence(g),
     }
@@ -340,54 +360,54 @@ def _table_algebras() -> dict:
     return algs
 
 
-def _invariant_key(g: LieAlgebra) -> tuple:
-    inv = nilpotent_invariants(g)
-    return (g.dim, inv["series_dims"], inv["center_dim"],
-            inv["characteristic_sequence"])
-
-
-def _centralizer_of_derived_dim(g: LieAlgebra) -> int:
+def _recognition_key(g: LieAlgebra) -> tuple:
+    """(dim, lower-central-series dims, center dim, dim of the centralizer
+    of the derived algebra); raises on a non-nilpotent algebra."""
     n = g.dim
-    derived = lower_central_series(g)[1]
-    rows = []
-    for v in derived:
-        for s in range(n):
-            rows.append([sum((g.c[j][k][s] * v[k] for k in range(n)), GaussRat(0))
-                         for j in range(n)])
-    return len(nullspace(rows, n)) if rows else n
+    series = _nilpotent_series(g)
+    rows = [[sum((g.c[j][k][s] * v[k] for k in range(n)), GaussRat(0))
+             for j in range(n)]
+            for v in series[1] for s in range(n)]
+    centralizer = len(nullspace(rows, n)) if rows else n
+    return (n, tuple(len(s) for s in series), len(center(g)), centralizer)
 
 
-_RECOGNITION_CACHE: dict = {}
+# _recognition_key of each member of _table_algebras(), the complete list of
+# complex nilpotent Lie algebras of dimension <= 5 (W. de Graaf, J. Algebra
+# 309, 2007); the keys are pairwise distinct, which the tests check
+_RECOGNITION_TABLE = {
+    (1, (1, 0), 1, 1): "a1",
+    (2, (2, 0), 2, 2): "a2",
+    (3, (3, 0), 3, 3): "a3",
+    (4, (4, 0), 4, 4): "a4",
+    (5, (5, 0), 5, 5): "a5",
+    (3, (3, 1, 0), 1, 3): "n3_1",
+    (4, (4, 1, 0), 2, 4): "n3_1+a1",
+    (5, (5, 1, 0), 3, 5): "n3_1+a2",
+    (4, (4, 2, 1, 0), 1, 3): "n4_1",
+    (5, (5, 2, 1, 0), 2, 4): "n4_1+a1",
+    (5, (5, 3, 2, 1, 0), 1, 4): "n5_1",
+    (5, (5, 3, 2, 1, 0), 1, 3): "n5_2",
+    (5, (5, 2, 1, 0), 1, 4): "n5_3",
+    (5, (5, 3, 2, 0), 2, 3): "n5_4",
+    (5, (5, 2, 0), 2, 5): "n5_5",
+    (5, (5, 1, 0), 1, 5): "n5_6",
+}
 
 
 def recognize_dim_le5(g: LieAlgebra) -> str:
     """Label of a nilpotent algebra of dimension <= 5 in the standard list.
 
-    Matching is on exact invariants (series dims, center, characteristic
-    sequence); the only tie in the table (the two filiform five-dimensional
-    algebras) is resolved by the dimension of the centralizer of the derived
-    algebra.
+    Matching is on exact invariants: the dimension, the dimensions of the
+    lower central series, the center dimension and the dimension of the
+    centralizer of the derived algebra.  These separate the sixteen algebras
+    of the list, which has no parameters in these dimensions.
     """
     if g.dim > 5:
         raise LieAlgebraError("recognition implemented for dim <= 5 only")
     if validate(g) != "ok":
         raise LieAlgebraError("not a Lie algebra")
-    if not _RECOGNITION_CACHE:
-        for name, alg in _table_algebras().items():
-            key = _invariant_key(alg)
-            _RECOGNITION_CACHE.setdefault(key, []).append(
-                (name, _centralizer_of_derived_dim(alg)))
-    key = _invariant_key(g)
-    matches = _RECOGNITION_CACHE.get(key)
-    if not matches:
-        return "unclassified"
-    if len(matches) == 1:
-        return matches[0][0]
-    cd = _centralizer_of_derived_dim(g)
-    for name, c in matches:
-        if c == cd:
-            return name
-    return "unclassified"
+    return _RECOGNITION_TABLE.get(_recognition_key(g), "unclassified")
 
 
 def verify_isomorphism(phi, g: LieAlgebra, h: LieAlgebra):

@@ -180,10 +180,11 @@ def test_criterion_09_identity_suite():
         g = random_deformation(seed)
         fr = build_frame(g, "s12")
         sf = structure_functions(fr)
+        efgjk = efgjk_from_formulas(sf)
         checks = [
             fr.T.conj() == fr.T,
             lie_bracket(fr.Lbar, fr.S) == lie_bracket(fr.L, fr.Sbar),
-            all(efgjk_from_formulas(sf)[k] == getattr(sf, k) for k in "EFGJK"),
+            all(efgjk[k] == getattr(sf, k) for k in "EFGJK"),
             all(r.is_zero for r in jacobi_relations_check(sf)),
             all(r.is_zero for r in
                 d_squared_check(darboux_structure(fr, sf), fr)),

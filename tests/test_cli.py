@@ -90,6 +90,15 @@ def test_autcr_heisenberg_contains_dw():
     assert "(1) d/dw1" in out
 
 
+def test_autcr_heisenberg_symbol():
+    rc, out, _ = run_cli("autcr", str(MODELS / "heisenberg.model"),
+                         "--weight-bound", "4")
+    assert rc == 0
+    assert "dimension = 8" in out
+    assert "symbol_grading = 0 -2 -1 -1 0 1 1 2" in out
+    assert "symbol_label = n3_1" in out
+
+
 def test_autcr_minimal_bound_error():
     rc, _, err = run_cli("autcr", str(MODELS / "heisenberg.model"),
                          "--weight-bound", "1")

@@ -41,6 +41,27 @@ def test_validate_jacobi_violation():
     assert bad == "ok" or bad[0][0] == "jacobi"
 
 
+def test_validate_jacobi_first_violation():
+    g = LieAlgebra.from_brackets(3, {(0, 1): {2: GaussRat(1)},
+                                     (0, 2): {2: GaussRat(1)},
+                                     (1, 2): {0: GaussRat(1)}})
+    assert validate(g) == [("jacobi", (0, 1, 2, 0))]
+
+
+def test_validate_jacobi_first_violation_at_a_later_triple():
+    # the algebra above on e2, e3, e4, with e1 central: every triple through
+    # e1 satisfies Jacobi, so the first violation is on (e2, e3, e4)
+    g = LieAlgebra.from_brackets(4, {(1, 2): {3: GaussRat(1)},
+                                     (1, 3): {3: GaussRat(1)},
+                                     (2, 3): {1: GaussRat(1)}})
+    assert validate(g) == [("jacobi", (1, 2, 3, 1))]
+    g = LieAlgebra.from_brackets(5, {(0, 1): {2: GaussRat(1)},
+                                     (1, 4): {1: GaussRat(2)},
+                                     (2, 4): {3: GaussRat(1)},
+                                     (3, 4): {2: GaussRat(1)}})
+    assert validate(g) == [("jacobi", (0, 1, 4, 2))]
+
+
 def test_validate_seven_dim_table():
     from test_equivalence import aut_table_algebra
     assert validate(aut_table_algebra()) == "ok"
@@ -97,6 +118,19 @@ def test_recognize_abelian():
     assert recognize_dim_le5(LieAlgebra.from_brackets(5, {})) == "a5"
 
 
+def test_recognition_table_is_the_key_of_every_table_algebra():
+    table = {LA._recognition_key(g): name
+             for name, g in LA._table_algebras().items()}
+    assert LA._RECOGNITION_TABLE == table
+    assert len(table) == 16
+
+
+def test_recognize_non_nilpotent_raises():
+    g = LieAlgebra.from_brackets(2, {(0, 1): {1: GaussRat(1)}})
+    with pytest.raises(LieAlgebraError, match="not nilpotent"):
+        recognize_dim_le5(g)
+
+
 def _random_invertible(rng, n):
     while True:
         phi = [[GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
@@ -115,6 +149,67 @@ def test_recognition_stable_under_basis_change():
         for _ in range(5):
             phi = _random_invertible(rng, g.dim)
             assert recognize_dim_le5(g.change_basis(phi)) == name
+
+
+# ---------------------------------------------------------------------------
+# row reduction
+# ---------------------------------------------------------------------------
+
+def _dense_rref(M):
+    """Textbook Gauss-Jordan elimination on every entry of every row."""
+    M = [row[:] for row in M]
+    rows, cols = len(M), len(M[0])
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(rows):
+            if i != r:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[r])]
+        r += 1
+    return M
+
+
+def _random_sparse(rng, rows, cols, rank_deficient):
+    def entry():
+        if rng.random() < 0.7:
+            return GaussRat(0)
+        return GaussRat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                        Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    M = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rank_deficient and rows > 2:
+        # the last row repeats a combination of the first two
+        a, b = entry(), entry()
+        M[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+    return M
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (6, 6), (9, 4),
+                                        (12, 20), (20, 10)])
+def test_rref_matches_dense_reference(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    for trial in range(8):
+        M = _random_sparse(rng, rows, cols, rank_deficient=trial % 2 == 1)
+        R, piv = LA.rref(M)
+        dense = _dense_rref(M)
+        assert R == dense
+        assert piv == [next(c for c in range(cols) if not row[c].is_zero)
+                       for row in dense if any(not x.is_zero for x in row)]
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 7), (6, 6), (9, 4), (12, 20)])
+def test_nullspace_of_random_sparse_matrices(rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    for trial in range(8):
+        M = _random_sparse(rng, rows, cols, rank_deficient=trial % 2 == 1)
+        basis = LA.nullspace(M, cols)
+        rank = sum(any(not x.is_zero for x in row) for row in _dense_rref(M))
+        assert len(basis) == cols - rank
+        for v in basis:
+            assert all(x.is_zero for x in LA.mat_vec(M, v))
 
 
 # ---------------------------------------------------------------------------
