@@ -7,8 +7,8 @@ twelve essential invariants of the R != 0 branch on phi1 = x^2 + y^2 + x^4.
 
 import time
 
-from crcartan.equivalence import (Geometry, branch_Rneq0, initial_torsion,
-                                  model_involutivity_data, run_model_pipeline)
+from crcartan.equivalence import (Geometry, model_involutivity_data, run_method,
+                                  run_model_pipeline)
 from crcartan.exact import standard_context
 from crcartan.frames import build_frame, cubic_model
 
@@ -40,7 +40,7 @@ def main():
                           2 * x ** 3 + 2 * x * y ** 2,
                           2 * x ** 2 * y + 2 * y ** 3)
     geom = Geometry.build(g)
-    rep2 = branch_Rneq0(initial_torsion(geom), geom.sf, geom)
+    rep2 = run_method(geom)
     print("quartic deformation (R != 0): twelve essential invariants")
     for nm in sorted(rep2.invariants):
         val = str(rep2.invariants[nm])

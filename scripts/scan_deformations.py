@@ -9,31 +9,12 @@ Usage: python scripts/scan_deformations.py [--grid]
 """
 
 import argparse
-import itertools
-import sys
 import time
 from fractions import Fraction
 
-from crcartan.exact import GaussRat, I, standard_context
-from crcartan.frames import GraphingFunctions
-from crcartan.equivalence import Geometry, branch_R0, initial_torsion
-
-
-def build_pair_deformation(coefs_shapes):
-    """Deform v2 + i v3 by a sum of coef * shape(z, zb, u)."""
-    ctx = standard_context()
-    x, y, u1, u2, u3 = ctx.vars("x", "y", "u1", "u2", "u3")
-    i = ctx.const(I)
-    z, zb = x + i * y, x - i * y
-    env = {"z": z, "zb": zb, "u1": u1, "u2": u2, "u3": u3, "i": i}
-    c = ctx.zero
-    for coef, shape in coefs_shapes:
-        c = c + ctx.const(coef) * eval(shape, {}, env)
-    re = (c + c.conj()) / 2
-    im = (c - c.conj()) / (2 * i)
-    return GraphingFunctions(ctx, x ** 2 + y ** 2,
-                             2 * x ** 3 + 2 * x * y ** 2 + re,
-                             2 * x ** 2 * y + 2 * y ** 3 + im)
+from crcartan.equivalence import Geometry, run_method
+from crcartan.exact import GaussRat
+from crcartan.frames import pair_deformation
 
 
 def classify(g, name):
@@ -41,7 +22,7 @@ def classify(g, name):
     if not geom.sf.R.is_zero:
         print(f"{name}: R != 0", flush=True)
         return None
-    rep = branch_R0(initial_torsion(geom), geom.sf, geom)
+    rep = run_method(geom)
     nz = sorted(nm for nm, v in rep.invariants.items()
                 if getattr(v, "is_zero", True) is False)
     print(f"{name}: R == 0 case {rep.case}  nonzero={nz}", flush=True)
@@ -68,7 +49,7 @@ def grid_scan():
     for t in tvals:
         for s in svals:
             name = f"w6 t={t} s={s}"
-            g = build_pair_deformation([
+            g = pair_deformation([
                 (GaussRat(1), "u1*z**4"),
                 (GaussRat(t), "(u2+i*u3)*z**3"),
                 (s, "z**5*zb"),
@@ -76,7 +57,7 @@ def grid_scan():
             geom = Geometry.build(g)
             if not geom.sf.R.is_zero:
                 continue
-            rep = branch_R0(initial_torsion(geom), geom.sf, geom)
+            rep = run_method(geom)
             x1 = rep.invariants.get("X1''")
             w9 = rep.invariants.get("W9''")
             x1z = x1 is None or x1.is_zero
@@ -99,7 +80,7 @@ def main():
     else:
         for deltas in BASIC:
             name = " + ".join(f"{c}*{s}" for c, s in deltas)
-            classify(build_pair_deformation(deltas), name)
+            classify(pair_deformation(deltas), name)
     print(f"total {time.time() - t0:.1f}s", flush=True)
 
 

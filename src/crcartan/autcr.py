@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import Context, Expr, GaussRat, I
-from .liealg import GradedAlgebra, LieAlgebra, LieAlgebraError, nullspace, rref
+from .liealg import GradedAlgebra, LieAlgebra, nullspace
 
 
 class AutCRError(Exception):
@@ -303,11 +302,6 @@ def _structure_constants(m: RigidModel, basis: list, weight_bound: int) -> LieAl
                 c[i][j][s] = coords[s]
                 c[j][i][s] = -coords[s]
     return LieAlgebra(n, c)
-
-
-def commutator_table(alg: AutAlgebra) -> LieAlgebra:
-    """Exact brackets of the basis fields decomposed in the basis."""
-    return alg.algebra
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,14 @@ import re
 import sys
 import time
 
-from .autcr import (AutAlgebra, AutCRError, HolField, RigidModel, field_weight,
-                    rigid_context, solve_rigid_aut, symbol_algebra,
-                    tangency_residuals)
-from .coframes import darboux_structure
+from .autcr import (AutCRError, RigidModel, field_weight, rigid_context,
+                    solve_rigid_aut, symbol_algebra)
 from .crosscheck import compare, first_loop_reference
-from .equivalence import (EquivalenceError, Geometry, InvariantReport,
-                          branch_R0, branch_Rneq0, initial_torsion)
-from .exact import Context, ExactError, Expr, GaussRat, I, parse, render, standard_context
-from .frames import (FRAME_ORDER, Frame, FrameError, GraphingFunctions,
-                     build_frame, structure_functions)
-from .liealg import (GradedAlgebra, LieAlgebra, LieAlgebraError, GaussRat as _GR,
-                     recognize_dim_le5, tanaka_prolong, validate)
+from .equivalence import EquivalenceError, Geometry, initial_torsion, run_method
+from .exact import Context, ExactError, Expr, GaussRat, parse, render, standard_context
+from .frames import FrameError, GraphingFunctions, build_frame, structure_functions
+from .liealg import (GradedAlgebra, LieAlgebra, LieAlgebraError, recognize_dim_le5,
+                     tanaka_prolong, validate)
 
 
 class ParseError(Exception):
@@ -94,7 +90,7 @@ def parse_model_file(text: str) -> ModelFile:
         elif section == "main" and re.fullmatch(r"phi[123]", key):
             phis[key] = (val, lineno)
         elif section == "rigid" and key == "codim":
-            codim = int(val)
+            codim = _parse_int(val, "codim", lineno)
         elif section == "rigid" and re.fullmatch(r"Phi\d+", key):
             rigid[int(key[3:])] = (val, lineno)
         else:
@@ -111,11 +107,19 @@ def parse_model_file(text: str) -> ModelFile:
     return ModelFile(convention, phis, rigid_list, text)
 
 
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what}: expected an integer, got {text.strip()!r}",
+                         lineno) from None
+
+
 def _parse_poly(ctx: Context, spec, what: str) -> Expr:
     text, lineno = spec
     try:
         return parse(ctx, text)
-    except ExactError as exc:
+    except (ExactError, ZeroDivisionError) as exc:
         raise ParseError(f"{what}: {exc}", lineno) from None
 
 
@@ -156,14 +160,21 @@ def parse_algebra_file(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        _, sep, val = line.partition("=")
+        if line.startswith(("dim", "grading", "J")) and not sep:
+            raise ParseError(f"expected 'name = value', got {line!r}", lineno)
         if line.startswith("dim"):
-            dim = int(line.split("=", 1)[1])
+            dim = _parse_int(val, "dim", lineno)
+            if dim < 1:
+                raise ParseError("dim must be positive", lineno)
             continue
         if line.startswith("grading"):
-            grading = tuple(int(t) for t in line.split("=", 1)[1].split())
+            grading = tuple(_parse_int(t, "grading", lineno) for t in val.split())
+            if any(d >= 0 for d in grading):
+                raise ParseError("grading degrees must be negative", lineno)
             continue
         if line.startswith("J"):
-            jmap = line.split("=", 1)[1].strip()
+            jmap = val.strip()
             continue
         m = re.fullmatch(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*(.*)", line)
         if not m:
@@ -175,12 +186,11 @@ def parse_algebra_file(text: str):
     ctx = Context([(f"e{s+1}", f"e{s+1}") for s in range(dim)])
     parsed = {}
     for (j, k), (rhs, lineno) in brackets.items():
+        if not (0 <= j < dim and 0 <= k < dim):
+            raise ParseError(f"[e{j+1}, e{k+1}]: index outside e1..e{dim}", lineno)
         if rhs in ("0", ""):
             continue
-        try:
-            e = parse(ctx, rhs)
-        except ExactError as exc:
-            raise ParseError(str(exc), lineno) from None
+        e = _parse_poly(ctx, (rhs, lineno), f"[e{j+1}, e{k+1}]")
         row = {}
         for s in range(dim):
             co = e.diff(f"e{s+1}")
@@ -200,6 +210,8 @@ def parse_algebra_file(text: str):
             if not mm:
                 raise ParseError(f"bad J entry {part!r}")
             src, sign, dst = int(mm.group(1)) - 1, mm.group(2), int(mm.group(3)) - 1
+            if src not in ids or dst not in ids:
+                raise ParseError(f"J entry {part!r} leaves the degree -1 part")
             J[ids.index(dst)][ids.index(src)] = GaussRat(-1 if sign else 1)
     return g, grading, J
 
@@ -254,52 +266,51 @@ def _report_header(mf: ModelFile) -> dict:
     return {"input_sha256": mf.sha256, "convention": mf.convention}
 
 
+def _torsion_crosscheck(ts_values: dict, sf) -> dict:
+    """First-loop torsion against its transcribed closed forms, by name."""
+    return {nm: ("match" if ok else "MISMATCH")
+            for nm, ok in compare(ts_values, first_loop_reference(sf))}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_frame(mf: ModelFile, args) -> dict:
     g = graphing_functions(mf)
-    fr = build_frame(g, mf.convention)
-    sf = structure_functions(build_frame(g, "s12"))
+    if args.cross_check:
+        geom = Geometry.build(g)
+        sf = geom.sf
+    else:
+        sf = structure_functions(build_frame(g, "s12"))
+    fr = sf.frame if mf.convention == "s12" else build_frame(g, mf.convention)
     out = _report_header(mf)
     out["frame"] = {nm: str(f) for nm, f in fr.fields().items()}
     out["structure_functions"] = {nm: render(v) for nm, v in sf.fundamental().items()}
     if args.cross_check:
-        geom = Geometry(sf.frame, sf, darboux_structure(sf.frame, sf))
-        ts = initial_torsion(geom)
-        verdicts = compare(ts.values, first_loop_reference(sf))
-        out["torsion_crosscheck"] = {nm: ("match" if ok else "MISMATCH")
-                                     for nm, ok in verdicts}
+        out["torsion_crosscheck"] = _torsion_crosscheck(initial_torsion(geom).values, sf)
     return out
 
 
 def cmd_invariants(mf: ModelFile, args) -> dict:
     g = graphing_functions(mf)
     geom = Geometry.build(g)
-    ts = initial_torsion(geom)
-    branch = "R_zero" if geom.sf.R.is_zero else "R_nonzero"
-    if args.branch_force == "r0" and branch != "R_zero":
+    r_zero = geom.sf.R.is_zero
+    if args.branch_force == "r0" and not r_zero:
         raise EquivalenceError("branch r0 forced but R != 0 on this input")
-    if args.branch_force == "rneq0" and branch != "R_nonzero":
+    if args.branch_force == "rneq0" and r_zero:
         raise EquivalenceError("branch rneq0 forced but R == 0 on this input")
-    if branch == "R_zero":
-        rep = branch_R0(ts, geom.sf, geom)
-    else:
-        rep = branch_Rneq0(ts, geom.sf, geom)
+    rep = run_method(geom)
     out = _report_header(mf)
     out["branch"] = rep.branch
     out["case"] = rep.case
     out["verdict"] = rep.verdict
-    out["invariants"] = {nm: str(v) for nm, v in sorted(rep.invariants.items())
-                         if not isinstance(v, dict)}
+    out["invariants"] = {nm: str(v) for nm, v in sorted(rep.invariants.items())}
     out["lemma_checks"] = [f"{nm}: {'pass' if ok else 'FAIL'}"
                            for nm, ok in rep.lemma_checks]
     out["normalizations"] = {nm: str(v) for nm, v in sorted(rep.normalizations.items())}
     if args.cross_check:
-        verdicts = compare(ts.values, first_loop_reference(geom.sf))
-        out["torsion_crosscheck"] = {nm: ("match" if ok else "MISMATCH")
-                                     for nm, ok in verdicts}
+        out["torsion_crosscheck"] = _torsion_crosscheck(rep.torsions["initial"], geom.sf)
     return out
 
 
@@ -347,14 +358,15 @@ def main(argv=None) -> int:
                                              "for CR-generic 5-manifolds in C^4")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=("text", "machine"), default="text")
-    common.add_argument("--cross-check", action="store_true",
-                        help="compare derived torsion against the reference closed forms")
+    checked = argparse.ArgumentParser(add_help=False, parents=[common])
+    checked.add_argument("--cross-check", action="store_true",
+                         help="compare derived torsion against the reference closed forms")
     sub = ap.add_subparsers(dest="command", required=True)
-    p_frame = sub.add_parser("frame", parents=[common],
+    p_frame = sub.add_parser("frame", parents=[checked],
                              help="print the adapted frame and structure functions")
     p_frame.add_argument("file")
     p_frame.add_argument("--convention", choices=("s12", "s13"))
-    p_inv = sub.add_parser("invariants", parents=[common],
+    p_inv = sub.add_parser("invariants", parents=[checked],
                            help="run the full equivalence method")
     p_inv.add_argument("file")
     p_inv.add_argument("--convention", choices=("s12", "s13"))

@@ -9,11 +9,8 @@ over sorted index pairs/triples of the five basis elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import Context, Expr, GaussRat, I
-from .frames import (Frame, FrameError, InversionTable, StructureFunctions,
-                     decompose, invert_frame, lie_bracket)
+from .exact import Expr
+from .frames import Frame, StructureFunctions, decompose, invert_frame, lie_bracket
 
 #: index order of the coframe (and of the dual frame)
 COFRAME_NAMES = ("sigma_bar", "sigma", "rho", "zeta_bar", "zeta")
@@ -128,54 +125,6 @@ def _perm_sign(order) -> int:
             if o[a] > o[b]:
                 sign = -sign
     return sign
-
-
-# ---------------------------------------------------------------------------
-# the coframe itself
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Coframe:
-    """Dual coframe, represented through its defining pairing with the frame."""
-
-    frame: Frame
-    table: InversionTable
-
-    def pairing(self, form_index: int, field_index: int) -> Expr:
-        ctx = self.frame.ctx
-        return ctx.one if form_index == field_index else ctx.zero
-
-    def coordinate_rows(self) -> list[list[Expr]]:
-        """Each coframe element as a row over (dx, dy, du1, du2, du3)."""
-        ctx = self.frame.ctx
-        fields = self.frame.in_frame_order()
-        # omega^k(F_j) = delta means the row matrix is the inverse transpose
-        # of the component matrix M[j][c] = (F_j)_c
-        mt = [[fields[j].coeffs[c] for j in range(5)] for c in range(5)]
-        return _invert5(ctx, mt)
-
-
-def _invert5(ctx: Context, m):
-    """Exact inverse of a 5x5 Expr matrix by Gauss-Jordan elimination."""
-    n = 5
-    a = [row[:] + [ctx.one if r == c else ctx.zero for c in range(n)]
-         for r, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero), None)
-        if piv is None:
-            raise FrameError("frame degenerate")
-        a[col], a[piv] = a[piv], a[col]
-        inv = ctx.one / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def dual_coframe(f: Frame, table: InversionTable | None = None) -> Coframe:
-    return Coframe(f, table or invert_frame(f))
 
 
 # ---------------------------------------------------------------------------

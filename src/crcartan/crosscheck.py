@@ -8,7 +8,7 @@ comparison never resolves silently, each name gets an explicit verdict).
 
 from __future__ import annotations
 
-from .exact import Context, Expr, GaussRat, I
+from .exact import Expr, I
 from .frames import StructureFunctions
 
 

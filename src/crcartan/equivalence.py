@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .coframes import TwoForm, darboux_structure
 from .exact import Context, Expr, GaussRat, I
-from .frames import (Frame, FrameError, GraphingFunctions, StructureFunctions,
-                     build_frame, cubic_model, invert_frame, structure_functions)
+from .frames import (Frame, GraphingFunctions, StructureFunctions, build_frame,
+                     cubic_model, structure_functions)
 
 PARAMS = ("a", "ab", "b", "bb", "c", "cb", "d", "db", "e", "eb")
 
@@ -430,11 +430,15 @@ def stage_structure(stage: Stage) -> StageStructure:
 
 @dataclass
 class TorsionSet:
-    """Named torsion coefficients of one loop, plus shape diagnostics."""
+    """Named torsion coefficients of one loop and the stage they were read from."""
 
     loop: str
     values: dict
-    dom: object
+    stage: Stage
+
+    @property
+    def dom(self):
+        return self.stage.dom
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -447,13 +451,14 @@ def _positional(tf: TwoForm, zero):
     return {name: tf.get(i, j, zero) for name, (i, j) in WEDGE_DISPLAY}
 
 
-def extract_torsion(struct: StageStructure, dom, loop: str) -> TorsionSet:
+def extract_torsion(struct: StageStructure, stage: Stage, loop: str) -> TorsionSet:
     """Read the named coefficients off d sigma, d rho, d zeta.
 
     The fixed entries of the structure equations (the rho^zeta term of
     d sigma, the i zeta^zeta_bar term of d rho) are asserted exactly; the
     conjugate-pair symmetries of d rho are likewise verified.
     """
+    dom = stage.dom
     zero = dom.zero
     ds = _positional(struct.torsion[1], zero)
     dr = _positional(struct.torsion[2], zero)
@@ -482,7 +487,7 @@ def extract_torsion(struct: StageStructure, dom, loop: str) -> TorsionSet:
     wnames = ("W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8", "W9", "W10")
     for nm, (pos, _) in zip(wnames, WEDGE_DISPLAY):
         vals[nm] = dz[pos]
-    return TorsionSet(loop, vals, dom)
+    return TorsionSet(loop, vals, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -535,29 +540,21 @@ def initial_stage(geom: Geometry) -> Stage:
 def initial_torsion(geom: Geometry) -> TorsionSet:
     """The 22 named coefficients of the first loop."""
     stage = initial_stage(geom)
-    return extract_torsion(stage_structure(stage), stage.dom, "initial")
+    return extract_torsion(stage_structure(stage), stage, "initial")
 
 
 # ---------------------------------------------------------------------------
 # first loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FirstLoopResult:
-    branch: str                    # "R_zero" | "R_nonzero"
-    substitutions: dict            # c, cb, b, bb, d, db as Exprs (in a, ab)
-    torsion: TorsionSet
-
-
-def first_loop(ts: TorsionSet, sf: StructureFunctions) -> FirstLoopResult:
-    """Decide the branch on R and normalize the parameters c, b, d.
+def first_loop(ts: TorsionSet) -> dict:
+    """Normalize the parameters c, b, d; return their values.
 
     The three normalizable combinations U6, U3 + conj(U4) - 3 V8, U5 are set
     to zero and solved, in that order, for cb, bb, db; conjugation supplies
     c, b, d.  The solved values depend on a, ab and the base point only.
     """
     dom = ts.dom
-    branch = "R_zero" if sf.R.is_zero else "R_nonzero"
     sub = {}
     cb = solve_linear_param(dom, ts["U6"], "cb")
     sub["cb"] = cb
@@ -571,7 +568,7 @@ def first_loop(ts: TorsionSet, sf: StructureFunctions) -> FirstLoopResult:
     db = solve_linear_param(dom, u5, "db")
     sub["db"] = db
     sub["d"] = db.conj()
-    return FirstLoopResult(branch, sub, ts)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +584,14 @@ class InvariantReport:
     lemma_checks: list = field(default_factory=list)
     normalizations: dict = field(default_factory=dict)
     torsions: dict = field(default_factory=dict)
+    # case (viii): d theta_0..d theta_4, d beta_bar, d beta over the
+    # 7-element prolonged basis
+    structure_equations: list = field(default_factory=list)
 
     def check(self, name: str, ok: bool) -> None:
         self.lemma_checks.append((name, bool(ok)))
         if not ok:
             raise EquivalenceError(f"lemma check failed: {name}")
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(ok for _, ok in self.lemma_checks)
 
 
 def _subs_matrix(dom, F, sub):
@@ -618,26 +614,24 @@ def _param_free(dom, value, where: str):
 # branch R = 0
 # ---------------------------------------------------------------------------
 
-def branch_R0(ts: TorsionSet, sf: StructureFunctions,
-              geom: Geometry | None = None) -> InvariantReport:
+def branch_R0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
     """Loops two and three and, if required, the prolongation."""
+    sf = geom.sf
     if not sf.R.is_zero:
         raise EquivalenceError("branch_R0 called with R != 0")
-    frame = sf.frame
-    geom = geom or Geometry(frame, sf, darboux_structure(frame, sf))
+    frame = geom.frame
     dom = ts.dom
     ctx = dom.ctx
-    rep = InvariantReport("R_zero", None, {}, "undecided")
+    rep = InvariantReport("R_zero", None, {}, "not equivalent to cubic model")
     rep.torsions["initial"] = ts.values
 
-    fl = first_loop(ts, sf)
-    sub_bcd = fl.substitutions
+    sub_bcd = first_loop(ts)
     rep.normalizations.update(sub_bcd)
 
-    stage1 = initial_stage(geom)
+    stage1 = ts.stage
     F2 = _subs_matrix(dom, stage1.F, sub_bcd)
     stage2 = Stage(dom, F2, ("a", "ab", "e", "eb"), stage1.base_d)
-    ts2 = extract_torsion(stage_structure(stage2), dom, "prime")
+    ts2 = extract_torsion(stage_structure(stage2), stage2, "prime")
     rep.torsions["prime"] = ts2.values
     rep.check("U5' == 0", dom.is_zero(ts2["U5"]))
     rep.check("U6' == 0", dom.is_zero(ts2["U6"]))
@@ -651,7 +645,7 @@ def branch_R0(ts: TorsionSet, sf: StructureFunctions,
     F3 = _subs_matrix(dom, F2, sub_e)
     stage3 = Stage(dom, F3, ("a", "ab"), stage1.base_d)
     struct3 = stage_structure(stage3)
-    ts3 = extract_torsion(struct3, dom, "doubleprime")
+    ts3 = extract_torsion(struct3, stage3, "doubleprime")
     rep.torsions["doubleprime"] = ts3.values
 
     rep.check("V4'' == 0", dom.is_zero(ts3["V4"]))
@@ -686,29 +680,25 @@ def branch_R0(ts: TorsionSet, sf: StructureFunctions,
         rep.check("X1'' purely imaginary", (dom.conj(x1) + x1).is_zero)
         xi = _param_free(dom, x1 * a * ab, "X1'' scale")
         rep.normalizations["a*ab"] = 9 * i * xi      # X1'' := -i/9
-        rep.verdict = "not equivalent to cubic model"
         return rep
     if not dom.is_zero(w9):
         rep.case = "(ii)"
         w = _param_free(dom, w9 * ab ** 2, "W9'' scale")
         rep.normalizations["ab^2"] = -9 * i * w      # W9'' := i/9
         rep.invariants = {"W5''": w5, "V1''": v1}
-        rep.verdict = "not equivalent to cubic model"
         return rep
     if not dom.is_zero(w5):
         rep.case = "(iii)"
         v = _param_free(dom, w5 * a * ab ** 3, "W5'' scale")
         rep.normalizations["a*ab^3"] = 3 * v         # W5'' := 1/3
         rep.invariants = {"V1''": v1}
-        rep.verdict = "not equivalent to cubic model"
         return rep
     if not dom.is_zero(v1):
         rep.case = "(iv)"
         rep.check("V1'' purely imaginary", (dom.conj(v1) + v1).is_zero)
         v = _param_free(dom, v1 * a ** 2 * ab ** 2, "V1'' scale")
         rep.normalizations["(a*ab)^2"] = 3 * i * v   # V1'' := -i/3
-        rep.invariants = {"torsions": ts3.values}
-        rep.verdict = "not equivalent to cubic model"
+        rep.invariants = {}
         return rep
 
     # third loop: same structure equations, new essential combinations
@@ -726,23 +716,19 @@ def branch_R0(ts: TorsionSet, sf: StructureFunctions,
         v = _param_free(dom, w2 * a ** 2 * ab ** 2, "W2''' scale")
         rep.normalizations["(a*ab)^2"] = v           # W2''' := 1
         rep.invariants = {"W1'''": w1}
-        rep.verdict = "not equivalent to cubic model"
         return rep
     if not dom.is_zero(w1):
         rep.case = "(vii)"
         v = _param_free(dom, w1 * a ** 2 * ab ** 3, "W1''' scale")
         rep.normalizations["a^2*ab^3"] = v           # W1''' := 1
         rep.invariants = {}
-        rep.verdict = "not equivalent to cubic model"
         return rep
 
     rep.case = "(viii)"
-    tees = _prolongation(geom, stage3, struct3, ts3, rep)
+    tees = _prolongation(stage3, struct3, ts3, rep)
     rep.invariants.update(tees)
     if all(dom.is_zero(t) for t in tees.values()):
         rep.verdict = "equivalent to cubic model"
-    else:
-        rep.verdict = "not equivalent to cubic model"
     return rep
 
 
@@ -752,20 +738,29 @@ _CONJ_POS = {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5}
 BETA_BAR, BETA = 5, 6
 
 
-def _prolongation(geom: Geometry, stage3: Stage, struct3: StageStructure,
-                  ts3: TorsionSet, rep: InvariantReport) -> dict:
+def _absorption(t) -> dict:
+    """Coefficients cbeta[m] of theta_m in beta = da/a + sum_m cbeta[m] theta_m.
+
+    `t` maps the stage-3 torsion names to their values.
+    """
+    return {1: t["W3"], 0: t["W6"], 2: t["W8"],
+            4: t["W10"].conj() - t["V8"], 3: -t["W10"]}
+
+
+def _prolongation(stage3: Stage, struct3: StageStructure, ts3: TorsionSet,
+                  rep: InvariantReport) -> dict:
     """Absorb the leftover torsion into beta and differentiate it.
 
     beta = da/a + W3 sigma + W6 sigma_bar + W8 rho + (conj W10 - V8) zeta
            - W10 zeta_bar; its exterior derivative must reduce to the four
     wedge terms sigma^zeta, sigma_bar^zeta, rho^zeta, zeta^zeta_bar whose
     coefficients are the essential invariants of the prolonged problem.
+    The seven prolonged structure equations are kept on the report.
     """
     dom = stage3.dom
     ctx = dom.ctx
     a, ab = ctx.var("a"), ctx.var("ab")
-    cbeta = {1: ts3["W3"], 0: ts3["W6"], 2: ts3["W8"],
-             4: dom.conj(ts3["W10"]) - ts3["V8"], 3: -ts3["W10"]}
+    cbeta = _absorption(ts3)
     cbeta_bar = {_CONJ_POS[m]: dom.conj(v) for m, v in cbeta.items()}
 
     def d_param_sub(tf: TwoForm, row, par_val, beta_idx, cof):
@@ -816,11 +811,12 @@ def _prolongation(geom: Geometry, stage3: Stage, struct3: StageStructure,
             dbeta.add_term(i2, j2, coeff * c2)
 
     allowed = {(1, 4), (0, 4), (2, 4), (3, 4)}
-    for (i2, j2) in dbeta.coeffs:
-        if (i2, j2) not in allowed:
-            raise EquivalenceError(
-                f"d beta has an unexpected wedge term at {(i2, j2)}")
-    rep.check("d beta has only the four admissible wedge terms", True)
+    rep.check("d beta has only the four admissible wedge terms",
+              set(dbeta.coeffs) <= allowed)
+    dbeta_bar = TwoForm()
+    for (i2, j2), c2 in dbeta.coeffs.items():
+        dbeta_bar.add_term(_CONJ_POS[i2], _CONJ_POS[j2], dom.conj(c2))
+    rep.structure_equations = dtheta + [dbeta_bar, dbeta]
     zero = dom.zero
     return {
         "T1": dbeta.get(1, 4, zero),
@@ -830,48 +826,30 @@ def _prolongation(geom: Geometry, stage3: Stage, struct3: StageStructure,
     }
 
 
-def model_equivalence(report: InvariantReport) -> str:
-    """Verdict of the comparison with the cubic model."""
-    if report.branch != "R_zero":
-        return "not equivalent to cubic model"
-    if report.case != "(viii)":
-        return "not equivalent to cubic model"
-    dom_zero = all(getattr(v, "is_zero", False)
-                   for k, v in report.invariants.items() if k.startswith("T"))
-    return "equivalent to cubic model" if dom_zero else "not equivalent to cubic model"
-
-
 # ---------------------------------------------------------------------------
 # branch R != 0
 # ---------------------------------------------------------------------------
 
-def branch_Rneq0(ts: TorsionSet, sf: StructureFunctions,
-                 geom: Geometry | None = None) -> InvariantReport:
+def branch_Rneq0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
     """Normalize a against the cube-root symbol A0 and produce the twelve
     essential invariants of the final {e}-structure."""
+    sf = geom.sf
     if sf.R.is_zero:
         raise EquivalenceError("branch_Rneq0 needs R != 0")
-    frame = sf.frame
-    geom = geom or Geometry(frame, sf, darboux_structure(frame, sf))
     rep = InvariantReport("R_nonzero", None, {}, "not equivalent to cubic model")
     rep.torsions["initial"] = ts.values
 
-    fl = first_loop(ts, sf)
-    sub_bcd = fl.substitutions
-    edom = ExtDomain(frame, sf.R)
+    sub_bcd = first_loop(ts)
+    edom = ExtDomain(geom.frame, sf.R)
     ctx = edom.ctx
 
     # a := A0 with A0^2/A0b = R;  U7 = (a/ab^2) conj(R) becomes 1
-    def lift_with_a(v: Expr):
-        # v is an Expr in (a, ab, base); substitute a -> A0, ab -> A0b
-        return _ext_subs_a(edom, v)
-
-    stage1 = initial_stage(geom)
-    F1 = stage1.F
-    Fsub = _subs_matrix(ExprDomain(frame), F1, sub_bcd)
-    F2 = [[lift_with_a(v) for v in row] for row in Fsub]
-    stage2 = Stage(edom, F2, ("e", "eb"), _lift_base_d(edom, geom.base_d))
-    ts2 = extract_torsion(stage_structure(stage2), edom, "new")
+    stage1 = ts.stage
+    F2 = [[_ext_subs_a(edom, v) for v in row]
+          for row in _subs_matrix(stage1.dom, stage1.F, sub_bcd)]
+    base_d = _lift_base_d(edom, geom.base_d)
+    stage2 = Stage(edom, F2, ("e", "eb"), base_d)
+    ts2 = extract_torsion(stage_structure(stage2), stage2, "new")
     rep.torsions["new"] = ts2.values
 
     u7 = ts2["U7"]
@@ -883,8 +861,8 @@ def branch_Rneq0(ts: TorsionSet, sf: StructureFunctions,
            + edom.param_diff("e", v) * e_val
            + edom.param_diff("eb", v) * e_val.conj()
            for v in row] for row in F2]
-    stage3 = Stage(edom, F3, (), _lift_base_d(edom, geom.base_d))
-    ts3 = extract_torsion(stage_structure(stage3), edom, "final")
+    stage3 = Stage(edom, F3, (), base_d)
+    ts3 = extract_torsion(stage_structure(stage3), stage3, "final")
     rep.torsions["final"] = ts3.values
 
     rep.check("V4^new == 0", edom.is_zero(ts3["V4"]))
@@ -947,7 +925,19 @@ def _ext_subs_a(edom: ExtDomain, v: Expr):
     return out
 
 
-def cubic_structure_constants(dtheta7: list[TwoForm], dom) -> list:
+# ---------------------------------------------------------------------------
+# one run of the method
+# ---------------------------------------------------------------------------
+
+def run_method(geom: Geometry) -> InvariantReport:
+    """The first-loop torsion, then the branch chosen by whether R vanishes."""
+    ts = initial_torsion(geom)
+    if geom.sf.R.is_zero:
+        return branch_R0(ts, geom)
+    return branch_Rneq0(ts, geom)
+
+
+def cubic_structure_constants(dtheta7: list[TwoForm]) -> list:
     """Structure constants of the rank-zero prolonged coframe.
 
     Basis order (v_sigma, v_sigma_bar, v_rho, v_zeta, v_zeta_bar, v_alpha,
@@ -960,14 +950,14 @@ def cubic_structure_constants(dtheta7: list[TwoForm], dom) -> list:
     for kpos, k in enumerate(order):
         tf = dtheta7[k]
         for (i, j), coeff in tf.coeffs.items():
-            const = _constant_of(coeff, dom)
+            const = _constant_of(coeff)
             ip, jp = order.index(i), order.index(j)
             c[ip][jp][kpos] = -const
             c[jp][ip][kpos] = const
     return c
 
 
-def _constant_of(coeff, dom) -> GaussRat:
+def _constant_of(coeff) -> GaussRat:
     e = coeff if isinstance(coeff, Expr) else None
     if e is None:
         raise EquivalenceError("non-rational coefficient in rank-zero coframe")
@@ -982,45 +972,15 @@ def run_model_pipeline():
     """The whole method on the cubic model, ending in the {e}-structure.
 
     Returns (report, structure constants of the 7-dimensional algebra carried
-    by the final coframe, the four d-theta 2-forms).
+    by the final coframe, the seven prolonged structure equations).
     """
-    geom = Geometry.build(cubic_model())
-    ts = initial_torsion(geom)
-    rep = branch_R0(ts, geom.sf, geom)
+    rep = run_method(Geometry.build(cubic_model()))
     if rep.case != "(viii)":
         raise EquivalenceError("model pipeline did not reach the prolongation")
-    dom = ExprDomain(geom.frame)
-    ctx = dom.ctx
-    stage1 = initial_stage(geom)
-    sub = dict(rep.normalizations)
-    F3 = _subs_matrix(dom, stage1.F, {k: sub[k] for k in ("b", "bb", "c", "cb", "d", "db")})
-    F3 = _subs_matrix(dom, F3, {k: sub[k] for k in ("e", "eb")})
-    stage3 = Stage(dom, F3, ("a", "ab"), stage1.base_d)
-    struct3 = stage_structure(stage3)
-    ts3 = extract_torsion(struct3, dom, "model")
-    a, ab = ctx.var("a"), ctx.var("ab")
-    cbeta = {1: ts3["W3"], 0: ts3["W6"], 2: ts3["W8"],
-             4: dom.conj(ts3["W10"]) - ts3["V8"], 3: -ts3["W10"]}
-    for v in cbeta.values():
-        if not dom.is_zero(v):
-            raise EquivalenceError("model absorption coefficients should vanish")
-    dtheta7 = []
-    for k in range(5):
-        tf = TwoForm(dict(struct3.torsion[k].coeffs))
-        mc = struct3.mc[k]
-        if "a" in mc:
-            for m, coeff in enumerate(mc["a"]):
-                if not dom.is_zero(coeff):
-                    tf.add_term(BETA, m, coeff * a)
-        if "ab" in mc:
-            for m, coeff in enumerate(mc["ab"]):
-                if not dom.is_zero(coeff):
-                    tf.add_term(BETA_BAR, m, coeff * ab)
-        dtheta7.append(tf)
-    dtheta7.append(TwoForm())  # d beta_bar = 0 on the model
-    dtheta7.append(TwoForm())  # d beta = 0
-    consts = cubic_structure_constants(dtheta7, dom)
-    return rep, consts, dtheta7
+    if not all(v.is_zero for v in _absorption(rep.torsions["doubleprime"]).values()):
+        raise EquivalenceError("model absorption coefficients should vanish")
+    dtheta7 = rep.structure_equations
+    return rep, cubic_structure_constants(dtheta7), dtheta7
 
 
 def model_involutivity_data() -> dict:

@@ -76,6 +76,27 @@ def cubic_model(ctx: Context | None = None) -> GraphingFunctions:
     )
 
 
+def pair_deformation(coefs_shapes) -> GraphingFunctions:
+    """Deform v2 + i v3 of the cubic by a sum of coef * shape.
+
+    Each shape is a Python expression in z, zb, u1, u2, u3 and i, such as
+    "z**4*zb" or "(u2+i*u3)*z"; each coef is a GaussRat.
+    """
+    ctx = standard_context()
+    x, y, u1, u2, u3 = ctx.vars("x", "y", "u1", "u2", "u3")
+    i = ctx.const(I)
+    z, zb = x + i * y, x - i * y
+    env = {"z": z, "zb": zb, "u1": u1, "u2": u2, "u3": u3, "i": i}
+    c = ctx.zero
+    for coef, shape in coefs_shapes:
+        c = c + ctx.const(coef) * eval(shape, {}, env)
+    re = (c + c.conj()) / 2
+    im = (c - c.conj()) / (2 * i)
+    return GraphingFunctions(ctx, x ** 2 + y ** 2,
+                             2 * x ** 3 + 2 * x * y ** 2 + re,
+                             2 * x ** 2 * y + 2 * y ** 3 + im)
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import GaussRat
 
@@ -236,10 +235,6 @@ def lower_central_series(g: LieAlgebra):
         series.append(nxt)
         if not nxt:
             return series
-
-
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return not lower_central_series(g)[-1]
 
 
 def center(g: LieAlgebra):

@@ -3,25 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from crcartan.exact import GaussRat, I, standard_context
+from crcartan.equivalence import Geometry, run_method, run_model_pipeline
+from crcartan.exact import GaussRat, standard_context
 from crcartan.frames import GraphingFunctions, cubic_model
-
-
-def pair_deformation(coefs_shapes):
-    """Deform v2 + i v3 of the cubic by sum of coef * shape(z, zb, u)."""
-    ctx = standard_context()
-    x, y, u1, u2, u3 = ctx.vars("x", "y", "u1", "u2", "u3")
-    i = ctx.const(I)
-    z, zb = x + i * y, x - i * y
-    env = {"z": z, "zb": zb, "u1": u1, "u2": u2, "u3": u3, "i": i}
-    c = ctx.zero
-    for coef, shape in coefs_shapes:
-        c = c + ctx.const(coef) * eval(shape, {}, env)
-    re = (c + c.conj()) / 2
-    im = (c - c.conj()) / (2 * i)
-    return GraphingFunctions(ctx, x ** 2 + y ** 2,
-                             2 * x ** 3 + 2 * x * y ** 2 + re,
-                             2 * x ** 2 * y + 2 * y ** 3 + im)
 
 
 def phi1_deformation(expr_text):
@@ -80,13 +64,40 @@ def random_deformation(seed: int, min_weight: int = 4) -> GraphingFunctions:
     )
 
 
+# Each fixture below runs one stage of the method once per session; the
+# tests only read what it returns.
+
 @pytest.fixture(scope="session")
 def cubic_geometry():
-    from crcartan.equivalence import Geometry
     return Geometry.build(cubic_model())
 
 
 @pytest.fixture(scope="session")
 def quartic_geometry():
-    from crcartan.equivalence import Geometry
     return Geometry.build(quartic_deformation())
+
+
+@pytest.fixture(scope="session")
+def r_zero_geometry():
+    return Geometry.build(r_zero_deformation())
+
+
+@pytest.fixture(scope="session")
+def cubic_report(cubic_geometry):
+    return run_method(cubic_geometry)
+
+
+@pytest.fixture(scope="session")
+def quartic_report(quartic_geometry):
+    return run_method(quartic_geometry)
+
+
+@pytest.fixture(scope="session")
+def r_zero_report(r_zero_geometry):
+    return run_method(r_zero_geometry)
+
+
+@pytest.fixture(scope="session")
+def model_pipeline():
+    """(report, structure constants, structure equations) of run_model_pipeline."""
+    return run_model_pipeline()

@@ -10,18 +10,15 @@ from fractions import Fraction
 import pytest
 
 import crcartan.liealg as LA
-from conftest import (pair_deformation, quartic_deformation, r_zero_deformation,
-                      random_deformation)
+from conftest import quartic_deformation, r_zero_deformation, random_deformation
 from crcartan.autcr import (cubic_rigid_model, field_weight, solve_rigid_aut,
                             symbol_algebra, verify_tangency, _field_coordinates)
 from crcartan.coframes import d_squared_check, darboux_structure
 from crcartan.crosscheck import compare, first_loop_reference
-from crcartan.equivalence import (Geometry, branch_R0, branch_Rneq0,
-                                  initial_torsion, model_equivalence,
-                                  run_model_pipeline)
+from crcartan.equivalence import Geometry, initial_torsion, run_method
 from crcartan.exact import GaussRat, I, parse, standard_context
 from crcartan.frames import (build_frame, cubic_model, efgjk_from_formulas,
-                             jacobi_relations_check, lie_bracket,
+                             jacobi_relations_check, lie_bracket, pair_deformation,
                              structure_functions, VectorField)
 from crcartan.liealg import (GradedAlgebra, LieAlgebra, mat_inv,
                              prolonged_algebra, recognize_dim_le5,
@@ -70,8 +67,8 @@ def test_criterion_03_model_darboux(cubic_geometry):
     _report(3, ok, "Darboux structure of the model equals the displayed one")
 
 
-def test_criterion_04_model_pipeline():
-    rep, consts, _ = run_model_pipeline()
+def test_criterion_04_model_pipeline(model_pipeline):
+    rep, consts, _ = model_pipeline
     got = LieAlgebra(7, consts)
     want = expected_e_structure_algebra()
     table_ok = all(got.c[i][j][s] == want.c[i][j][s]
@@ -195,16 +192,15 @@ def test_criterion_09_identity_suite():
     _report(9, ok, "all frame/coframe identities hold on 10 random deformations")
 
 
-def test_criterion_10_vanishing_lemmas():
-    inputs = [cubic_model(), r_zero_deformation(),
-              pair_deformation([(GaussRat(1), "z**2*zb**2")])]
+def test_criterion_10_vanishing_lemmas(cubic_report, r_zero_report):
+    pair_geom = Geometry.build(pair_deformation([(GaussRat(1), "z**2*zb**2")]))
+    assert pair_geom.sf.R.is_zero
+    reports = [cubic_report, r_zero_report, run_method(pair_geom)]
     wanted = ("V3' == 0", "W7'' == 0", "X2'' == 0", "Y''' == 0",
               "W4''' syzygy in W9''', X1''' and derivatives")
     ok = True
-    for g in inputs:
-        geom = Geometry.build(g)
-        assert geom.sf.R.is_zero
-        rep = branch_R0(initial_torsion(geom), geom.sf, geom)
+    for rep in reports:
+        assert rep.branch == "R_zero"
         passed = {nm for nm, res in rep.lemma_checks if res}
         for w in wanted:
             if w == "Y''' == 0" and rep.case != "(v)" and w not in passed:
@@ -222,10 +218,10 @@ def test_criterion_10_vanishing_lemmas():
                     "on the cubic and two R == 0 deformations")
 
 
-def test_criterion_11_model_equivalence_cubic(cubic_geometry):
-    rep = branch_R0(initial_torsion(cubic_geometry), cubic_geometry.sf,
-                    cubic_geometry)
-    ok = (model_equivalence(rep) == "equivalent to cubic model"
+def test_criterion_11_model_equivalence_cubic(cubic_report):
+    rep = cubic_report
+    ok = (rep.verdict == "equivalent to cubic model"
+          and rep.branch == "R_zero" and rep.case == "(viii)"
           and all(rep.invariants[f"T{k}"].is_zero for k in range(1, 5)))
     _report(11, ok, "cubic reports equivalent with T1 = T2 = T3 = T4 = 0")
 
@@ -235,12 +231,12 @@ def test_criterion_11_model_equivalence_cubic(cubic_geometry):
                           "the lowest-weight essential part already makes X1'' "
                           "nonzero, so the second-loop normalization always "
                           "lands in case (i) before case (ii) can be reached; "
-                          "see the decisions ledger for the search evidence",
+                          "scripts/scan_deformations.py reproduces the search "
+                          "and the README notes its outcome",
                    strict=False)
 def test_criterion_11_not_equivalent_case_ii():
     g = pair_deformation([(GaussRat(1), "z**2*zb**2")])
-    geom = Geometry.build(g)
-    rep = branch_R0(initial_torsion(geom), geom.sf, geom)
+    rep = run_method(Geometry.build(g))
     w9 = rep.torsions["doubleprime"]["W9"]
     assert not w9.is_zero, "input must have W9'' != 0"
     assert rep.verdict == "not equivalent to cubic model"
@@ -248,10 +244,9 @@ def test_criterion_11_not_equivalent_case_ii():
     _report(11, ok, "a deformation with W9'' != 0 reports not equivalent, case (ii)")
 
 
-def test_criterion_12_branch_r_nonzero(quartic_geometry):
+def test_criterion_12_branch_r_nonzero(quartic_geometry, quartic_report):
     from crcartan.crosscheck import rneq0_reference
-    ts = initial_torsion(quartic_geometry)
-    rep = branch_Rneq0(ts, quartic_geometry.sf, quartic_geometry)
+    rep = quartic_report
     edom = rep.invariants["V3^new"].dom
     ref = rneq0_reference(edom, quartic_geometry.sf)
     displayed_ok = all((rep.invariants[nm] - ref[nm]).is_zero

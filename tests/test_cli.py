@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crcartan.cli import main, parse_algebra_file, parse_model_file, render_algebra
 from crcartan.liealg import LieAlgebra, validate
@@ -17,6 +20,21 @@ def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "crcartan.cli", *args],
                           capture_output=True, text=True, cwd=ROOT)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(*args):
+    """main() in this process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(args))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def quartic_machine_cross_check():
+    """One run of `invariants quartic.model --cross-check --emit machine`."""
+    return run_cli("invariants", str(MODELS / "quartic.model"),
+                   "--cross-check", "--emit", "machine")
 
 
 def test_frame_cubic_prints_displayed_values():
@@ -42,9 +60,8 @@ def test_invariants_cubic_verdict():
     assert "case = (viii)" in out
 
 
-def test_invariants_quartic_machine_output():
-    rc, out, _ = run_cli("invariants", str(MODELS / "quartic.model"),
-                         "--emit", "machine")
+def test_invariants_quartic_machine_output(quartic_machine_cross_check):
+    rc, out, _ = quartic_machine_cross_check
     assert rc == 0
     payload = json.loads(out)
     assert payload["branch"] == "R_nonzero"
@@ -121,13 +138,89 @@ def test_tanaka_requires_grading(tmp_path):
     assert "grading" in err
 
 
-def test_cross_check_flag():
-    rc, out, _ = run_cli("invariants", str(MODELS / "quartic.model"),
-                         "--cross-check", "--emit", "machine")
+def test_cross_check_flag(quartic_machine_cross_check):
+    rc, out, _ = quartic_machine_cross_check
     assert rc == 0
     payload = json.loads(out)
     assert payload["torsion_crosscheck"]
     assert all(v == "match" for v in payload["torsion_crosscheck"].values())
+
+
+@pytest.mark.parametrize("command", ["autcr", "tanaka"])
+def test_cross_check_only_on_frame_and_invariants(command):
+    path = MODELS / ("n5_4.alg" if command == "tanaka" else "cubic.model")
+    with pytest.raises(SystemExit) as exc:
+        run_main(command, str(path), "--cross-check")
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit contract: 0, 2 (parse error) or 3 (pipeline diagnostic), no traceback
+# ---------------------------------------------------------------------------
+
+CUBIC_PHIS = "phi2 = 2*x^3 + 2*x*y^2\nphi3 = 2*x^2*y + 2*y^3\n"
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("frame", "zero.model", "phi1 = 1/0\n" + CUBIC_PHIS),
+    ("autcr", "codim.model",
+     "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = three\nPhi1 = z*zb\n"),
+    ("tanaka", "dim.alg", "dim = x\ngrading = -1 -1 -2\n[e1, e2] = e3\n"),
+    ("tanaka", "dim0.alg", "dim = 0\ngrading =\n"),
+    ("tanaka", "index.alg", "dim = 3\ngrading = -1 -1 -2\n[e7, e1] = e2\n"),
+    ("tanaka", "index0.alg", "dim = 3\ngrading = -1 -1 -2\n[e0, e1] = e2\n"),
+    ("tanaka", "grading.alg", "dim = 2\ngrading = 1 1\n"),
+    ("tanaka", "j.alg", "dim = 3\ngrading = -1 -1 -2\nJ = e1 -> e3\n"),
+])
+def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run_main(command, str(path))
+    assert rc == 2
+    assert out == ""
+    assert "parse error" in err
+
+
+MODEL_LINES = [
+    "convention = s12", "convention = s13", "convention = s14",
+    "phi1 = x^2 + y^2", "phi2 = 2*x^3 + 2*x*y^2", "phi3 = 2*x^2*y + 2*y^3",
+    "phi1 = 1/0", "phi1 = 1", "phi2 = x +* y", "phi3 = (x", "phi4 = x",
+    "[rigid]", "codim = three", "codim = 1", "codim = 2", "Phi1 = z*zb",
+    "Phi2 = 1/0", "Phi2 = w1", "Phi3 = z", "# comment", "", "junk", "= 3",
+]
+SMALL = st.integers(min_value=-1, max_value=6)
+ALGEBRA_LINES = st.one_of(
+    st.sampled_from(["dim = x", "dim =", "grading = a", "J = e1 => e2",
+                     "[e1, e2]", ""]),
+    st.lists(st.integers(min_value=-3, max_value=1), max_size=6).map(
+        lambda g: "grading = " + " ".join(map(str, g))),
+    st.tuples(SMALL, SMALL, st.sampled_from(
+        ["e1", "e3", "0", "2*e2 - e4", "e1*e2", "1/0", "q"])).map(
+        lambda t: f"[e{t[0]}, e{t[1]}] = {t[2]}"),
+    st.lists(st.tuples(SMALL, st.booleans(), SMALL), min_size=1, max_size=3).map(
+        lambda es: "J = " + ", ".join(f"e{a} -> {'-' if neg else ''}e{b}"
+                                      for a, neg, b in es)),
+)
+# free text without digits, so that no line asks for a huge dimension or power
+FREE_LINE = st.text(alphabet="phixyzuwdimgrJe=[],+-*/() #>", max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["frame", "invariants"]),
+              st.lists(st.one_of(st.sampled_from(MODEL_LINES), FREE_LINE),
+                       max_size=8)),
+    st.tuples(st.just("tanaka"),
+              st.tuples(SMALL.map(lambda n: f"dim = {n}"),
+                        st.lists(st.one_of(ALGEBRA_LINES, FREE_LINE), max_size=8)
+                        ).map(lambda t: [t[0], *t[1]])),
+))
+def test_main_keeps_exit_contract(tmp_path_factory, case):
+    command, lines = case
+    path = tmp_path_factory.getbasetemp() / "contract.input"
+    path.write_text("\n".join(lines) + "\n")
+    rc, _, _ = run_main(command, str(path))
+    assert rc in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

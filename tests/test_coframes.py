@@ -1,7 +1,6 @@
 from conftest import quartic_deformation, random_deformation
-from crcartan.coframes import (COFRAME_NAMES, TwoForm, d_squared_check,
-                               darboux_structure, dual_coframe)
-from crcartan.exact import GaussRat, I, standard_context
+from crcartan.coframes import TwoForm, d_squared_check, darboux_structure
+from crcartan.exact import I, standard_context
 from crcartan.frames import build_frame, cubic_model, structure_functions
 
 SBAR, SIG, RHO, ZBAR, ZET = range(5)
@@ -20,32 +19,18 @@ def test_model_darboux_structure(cubic_geometry):
     assert d[ZBAR].is_zero and d[ZET].is_zero
 
 
-def test_duality_pairing(cubic_geometry):
-    cf = dual_coframe(cubic_geometry.frame, cubic_geometry.sf.table)
-    ctx = cubic_geometry.frame.ctx
-    for i in range(5):
-        for j in range(5):
-            want = ctx.one if i == j else ctx.zero
-            assert cf.pairing(i, j) == want
-    rows = cf.coordinate_rows()
-    fields = cubic_geometry.frame.in_frame_order()
-    for i in range(5):
-        for j in range(5):
-            val = sum((rows[i][c] * fields[j].coeffs[c] for c in range(5)),
-                      ctx.zero)
-            assert val == (ctx.one if i == j else ctx.zero)
-
-
 def test_zeta0_is_dz():
-    # T, S, Sbar carry no d/dz parts, so zeta0 = dz and zeta0_bar = dzbar
+    # T, S, Sbar carry no d/dz parts, so zeta0 = dz and zeta0_bar = dzbar:
+    # dz = dx + i dy is 1 on L and 0 on the other four fields of the frame
+    # (Sbar, S, T, Lbar, L), and dzbar is 1 on Lbar and 0 on the others
     fr = build_frame(quartic_deformation(), "s12")
-    cf = dual_coframe(fr)
     ctx = fr.ctx
-    rows = cf.coordinate_rows()
     i = ctx.const(I)
-    assert rows[ZET][:2] == [ctx.one, i]
-    assert all(v.is_zero for v in rows[ZET][2:])
-    assert rows[ZBAR][:2] == [ctx.one, -i]
+    for k, X in enumerate(fr.in_frame_order()):
+        dz = X.coeffs[0] + i * X.coeffs[1]
+        dzb = X.coeffs[0] - i * X.coeffs[1]
+        assert dz == (ctx.one if k == ZET else ctx.zero)
+        assert dzb == (ctx.one if k == ZBAR else ctx.zero)
 
 
 def test_general_coefficients_match_structure_functions():

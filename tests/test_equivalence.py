@@ -3,20 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (pair_deformation, phi1_deformation, quartic_deformation,
-                      r_zero_deformation, random_deformation)
+from conftest import random_deformation
 from crcartan.crosscheck import (compare, first_loop_reference,
                                  normalization_reference, rneq0_reference,
                                  second_loop_reference)
-from crcartan.equivalence import (EquivalenceError, ExtDomain, ExprDomain,
-                                  Geometry, GroupElement, Stage,
-                                  _lower_tri_inverse, branch_R0, branch_Rneq0,
-                                  cubic_structure_constants, extract_torsion,
-                                  first_loop, initial_stage, initial_torsion,
-                                  is_ambiguity_shape, model_equivalence,
-                                  run_model_pipeline, stage_structure)
+from crcartan.equivalence import (EquivalenceError, ExtDomain, Geometry,
+                                  GroupElement, _lower_tri_inverse, branch_R0,
+                                  branch_Rneq0, first_loop, initial_stage,
+                                  initial_torsion, is_ambiguity_shape, run_method)
 from crcartan.exact import GaussRat, I, standard_context
-from crcartan.frames import build_frame, cubic_model
 from crcartan.liealg import LieAlgebra, validate, verify_isomorphism
 
 
@@ -99,80 +94,65 @@ def test_initial_torsion_crosscheck_full(quartic_geometry):
 # first loop
 # ---------------------------------------------------------------------------
 
-def test_first_loop_cubic(cubic_geometry):
-    ts = initial_torsion(cubic_geometry)
-    fl = first_loop(ts, cubic_geometry.sf)
-    assert fl.branch == "R_zero"
-    assert all(fl.substitutions[k].is_zero for k in ("b", "c", "d"))
+def test_first_loop_cubic(cubic_geometry, cubic_report):
+    sub = first_loop(initial_torsion(cubic_geometry))
+    assert cubic_report.branch == "R_zero"
+    assert all(sub[k].is_zero for k in ("b", "c", "d"))
 
 
-def test_first_loop_branch_decision(quartic_geometry):
-    ts = initial_torsion(quartic_geometry)
-    fl = first_loop(ts, quartic_geometry.sf)
-    assert fl.branch == "R_nonzero"
+def test_first_loop_branch_decision(quartic_report):
+    assert quartic_report.branch == "R_nonzero"
 
 
 def test_first_loop_closed_forms():
     geom = Geometry.build(random_deformation(2))
-    ts = initial_torsion(geom)
-    fl = first_loop(ts, geom.sf)
+    sub = first_loop(initial_torsion(geom))
     ctx = geom.frame.ctx
     a, ab = ctx.vars("a", "ab")
     ref = normalization_reference(geom.sf)
-    assert fl.substitutions["b"] == a * ref["B0"]
-    assert fl.substitutions["c"] == a * ab * ref["C0"]
-    assert fl.substitutions["d"] == ab * ref["D0"]
+    assert sub["b"] == a * ref["B0"]
+    assert sub["c"] == a * ab * ref["C0"]
+    assert sub["d"] == ab * ref["D0"]
 
 
-def test_u7_vanishes_after_substitution_when_r_zero():
-    geom = Geometry.build(r_zero_deformation())
-    ts = initial_torsion(geom)
-    assert ts["U7"].is_zero  # U7 is proportional to conj(R)
+def test_u7_vanishes_after_substitution_when_r_zero(r_zero_report):
+    # U7 is proportional to conj(R)
+    assert r_zero_report.torsions["initial"]["U7"].is_zero
 
 
 # ---------------------------------------------------------------------------
 # branch R = 0
 # ---------------------------------------------------------------------------
 
-def test_branch_r0_cubic_prolongation(cubic_geometry):
-    ts = initial_torsion(cubic_geometry)
-    rep = branch_R0(ts, cubic_geometry.sf, cubic_geometry)
+def test_branch_r0_cubic_prolongation(cubic_report):
+    rep = cubic_report
     assert rep.case == "(viii)"
     assert rep.verdict == "equivalent to cubic model"
     for nm in ("T1", "T2", "T3", "T4", "W9''", "X1''"):
         assert rep.invariants[nm].is_zero
-    assert rep.all_checks_pass
+    assert all(ok for _, ok in rep.lemma_checks)
 
 
-def test_branch_r0_e_normalization_matches_closed_form():
-    geom = Geometry.build(r_zero_deformation())
-    ts = initial_torsion(geom)
-    rep = branch_R0(ts, geom.sf, geom)
-    ctx = geom.frame.ctx
-    a = ctx.var("a")
-    ref = normalization_reference(geom.sf)
-    assert rep.normalizations["e"] == a * ref["E0"]
+def test_branch_r0_e_normalization_matches_closed_form(r_zero_geometry, r_zero_report):
+    a = r_zero_geometry.frame.ctx.var("a")
+    ref = normalization_reference(r_zero_geometry.sf)
+    assert r_zero_report.normalizations["e"] == a * ref["E0"]
 
 
-def test_branch_r0_case_i_input():
-    geom = Geometry.build(r_zero_deformation())
-    ts = initial_torsion(geom)
-    rep = branch_R0(ts, geom.sf, geom)
+def test_branch_r0_case_i_input(r_zero_report):
+    rep = r_zero_report
     assert rep.case == "(i)"
     assert rep.verdict == "not equivalent to cubic model"
     x1 = rep.invariants["X1''"]
     assert not x1.is_zero
     assert (x1 + x1.conj()).is_zero  # purely imaginary
-    assert rep.all_checks_pass
+    assert all(ok for _, ok in rep.lemma_checks)
 
 
-def test_second_loop_closed_forms():
-    geom = Geometry.build(r_zero_deformation())
-    ts = initial_torsion(geom)
-    rep = branch_R0(ts, geom.sf, geom)
-    ref = second_loop_reference(geom.sf)
-    assert rep.invariants["W9''"] == ref["W9''"]
-    assert rep.invariants["X1''"] == ref["X1''"]
+def test_second_loop_closed_forms(r_zero_geometry, r_zero_report):
+    ref = second_loop_reference(r_zero_geometry.sf)
+    assert r_zero_report.invariants["W9''"] == ref["W9''"]
+    assert r_zero_report.invariants["X1''"] == ref["X1''"]
 
 
 def test_equivalent_images_of_the_model():
@@ -191,21 +171,17 @@ def test_equivalent_images_of_the_model():
     for g in images:
         geom = Geometry.build(g)
         assert geom.sf.R.is_zero
-        rep = branch_R0(initial_torsion(geom), geom.sf, geom)
+        rep = run_method(geom)
         assert rep.case == "(viii)"
         assert rep.verdict == "equivalent to cubic model"
 
 
-def test_model_equivalence_verdicts(cubic_geometry, quartic_geometry):
-    rep = branch_R0(initial_torsion(cubic_geometry), cubic_geometry.sf,
-                    cubic_geometry)
-    assert model_equivalence(rep) == "equivalent to cubic model"
-    geom = Geometry.build(r_zero_deformation())
-    rep2 = branch_R0(initial_torsion(geom), geom.sf, geom)
-    assert model_equivalence(rep2) == "not equivalent to cubic model"
-    rep3 = branch_Rneq0(initial_torsion(quartic_geometry), quartic_geometry.sf,
-                        quartic_geometry)
-    assert model_equivalence(rep3) == "not equivalent to cubic model"
+def test_model_equivalence_verdicts(cubic_report, r_zero_report, quartic_report):
+    assert cubic_report.verdict == "equivalent to cubic model"
+    assert cubic_report.branch == "R_zero" and cubic_report.case == "(viii)"
+    assert all(cubic_report.invariants[f"T{k}"].is_zero for k in range(1, 5))
+    assert r_zero_report.verdict == "not equivalent to cubic model"
+    assert quartic_report.verdict == "not equivalent to cubic model"
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +208,10 @@ def test_ext_domain_relations(quartic_geometry):
     assert (lhs - rhs).is_zero
 
 
-def test_branch_rneq0_invariants(quartic_geometry):
-    ts = initial_torsion(quartic_geometry)
-    rep = branch_Rneq0(ts, quartic_geometry.sf, quartic_geometry)
+def test_branch_rneq0_invariants(quartic_geometry, quartic_report):
+    rep = quartic_report
     assert rep.branch == "R_nonzero"
-    assert rep.all_checks_pass
+    assert all(ok for _, ok in rep.lemma_checks)
     assert len(rep.invariants) == 12
     edom = rep.invariants["V3^new"].dom
     ref = rneq0_reference(edom, quartic_geometry.sf)
@@ -247,7 +222,13 @@ def test_branch_rneq0_invariants(quartic_geometry):
 def test_branch_rneq0_refuses_r_zero(cubic_geometry):
     ts = initial_torsion(cubic_geometry)
     with pytest.raises(EquivalenceError):
-        branch_Rneq0(ts, cubic_geometry.sf, cubic_geometry)
+        branch_Rneq0(ts, cubic_geometry)
+
+
+def test_branch_r0_refuses_r_nonzero(quartic_geometry):
+    ts = initial_torsion(quartic_geometry)
+    with pytest.raises(EquivalenceError):
+        branch_R0(ts, quartic_geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +256,11 @@ def expected_e_structure_algebra() -> LieAlgebra:
     return LieAlgebra.from_brackets(7, EXPECTED_TABLE)
 
 
-def test_model_pipeline_structure_constants():
-    rep, consts, dtheta7 = run_model_pipeline()
+def test_model_pipeline_structure_constants(model_pipeline):
+    rep, consts, dtheta7 = model_pipeline
     assert rep.verdict == "equivalent to cubic model"
+    # d beta_bar and d beta vanish on the model
+    assert len(dtheta7) == 7 and dtheta7[5].is_zero and dtheta7[6].is_zero
     got = LieAlgebra(7, consts)
     assert validate(got) == "ok"
     want = expected_e_structure_algebra()
@@ -317,8 +300,8 @@ def psi_matrix():
     ]
 
 
-def test_psi_is_isomorphism():
-    rep, consts, _ = run_model_pipeline()
+def test_psi_is_isomorphism(model_pipeline):
+    rep, consts, _ = model_pipeline
     target = LieAlgebra(7, consts)
     assert verify_isomorphism(psi_matrix(), aut_table_algebra(), target) == "ok"
 
