@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exact import Context, Expr, GaussRat, I
-from .liealg import GradedAlgebra, LieAlgebra, nullspace
+from .liealg import GradedAlgebra, LieAlgebra, nullspace, span_coordinates
 
 
 class AutCRError(Exception):
@@ -274,13 +274,7 @@ def _field_coordinates(ctx: Context, basis: list, X: HolField):
             g = GaussRat.from_domain(co)
             keyed.setdefault((c, mon, "re"), [GaussRat(0)] * (cols + 1))[cols] = GaussRat(g.re)
             keyed.setdefault((c, mon, "im"), [GaussRat(0)] * (cols + 1))[cols] = GaussRat(g.im)
-    rows = list(keyed.values())
-    ns = nullspace(rows, cols + 1)
-    for v in ns:
-        if not v[cols].is_zero:
-            f = GaussRat(-1) / v[cols]
-            return [x * f for x in v[:cols]]
-    return None
+    return span_coordinates(list(keyed.values()), cols)
 
 
 def _structure_constants(m: RigidModel, basis: list, weight_bound: int) -> LieAlgebra:

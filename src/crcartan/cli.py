@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -184,6 +185,7 @@ def parse_algebra_file(text: str):
     if dim is None:
         raise ParseError("missing 'dim ='")
     ctx = Context([(f"e{s+1}", f"e{s+1}") for s in range(dim)])
+    origin = {n: GaussRat(0) for n in ctx.names}
     parsed = {}
     for (j, k), (rhs, lineno) in brackets.items():
         if not (0 <= j < dim and 0 <= k < dim):
@@ -196,9 +198,11 @@ def parse_algebra_file(text: str):
             co = e.diff(f"e{s+1}")
             if not co.is_polynomial or not co.num.is_ground:
                 raise ParseError("bracket right side must be linear", lineno)
-            v = co.evaluate({n: GaussRat(0) for n in ctx.names})
+            v = co.evaluate(origin)
             if not v.is_zero:
                 row[s] = v
+        if not e.evaluate(origin).is_zero:
+            raise ParseError("bracket right side has a constant term", lineno)
         parsed[(j, k)] = row
     g = LieAlgebra.from_brackets(dim, parsed)
     J = None
@@ -402,7 +406,14 @@ def main(argv=None) -> int:
     except (EquivalenceError, FrameError, AutCRError, LieAlgebraError) as exc:
         print(f"pipeline diagnostic: {exc}", file=sys.stderr)
         return 3
-    print(_emit(payload, args.emit))
+    try:
+        print(_emit(payload, args.emit))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return 0
 

@@ -48,24 +48,6 @@ class TwoForm:
         c = self.coeffs.get((j, i))
         return zero if c is None else -c
 
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        out = TwoForm(dict(self.coeffs))
-        for (i, j), c in other.coeffs.items():
-            out.add_term(i, j, c)
-        return out
-
-    def scale(self, s) -> "TwoForm":
-        out = TwoForm()
-        for (i, j), c in self.coeffs.items():
-            out.add_term(i, j, s * c)
-        return out
-
-    def __neg__(self) -> "TwoForm":
-        out = TwoForm()
-        for (i, j), c in self.coeffs.items():
-            out.add_term(i, j, -c)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -218,16 +218,10 @@ def rneq0_reference(edom, sf: StructureFunctions) -> dict:
     return {"V3^new": v3, "W10^new": w10, "W9^new": w9, "U4^new": u4}
 
 
-def compare(derived: dict, reference: dict, is_zero=None) -> list[tuple[str, bool]]:
+def compare(derived: dict, reference: dict) -> list[tuple[str, bool]]:
     """Per-name agreement verdicts; a mismatch is reported, never swallowed."""
-    out = []
-    for name in sorted(reference):
-        d = derived[name]
-        r = reference[name]
-        diff = d - r
-        zero = diff.is_zero if is_zero is None else is_zero(diff)
-        out.append((name, bool(zero)))
-    return out
+    return [(name, bool((derived[name] - reference[name]).is_zero))
+            for name in sorted(reference)]
 
 
 def lbar_closed_form_reference(g) -> tuple:

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 from .coframes import TwoForm, darboux_structure
 from .exact import Context, Expr, GaussRat, I
-from .frames import (Frame, GraphingFunctions, StructureFunctions, build_frame,
-                     cubic_model, structure_functions)
+from .frames import (Frame, FrameError, GraphingFunctions, StructureFunctions,
+                     _solve3, build_frame, cubic_model, structure_functions)
+from .liealg import nullspace, rank
 
 PARAMS = ("a", "ab", "b", "bb", "c", "cb", "d", "db", "e", "eb")
 
@@ -238,20 +239,11 @@ class ExtElem:
         m = [[p, r * N, q * N],
              [q, p, r * Rb],
              [r, q * R, p]]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if det.is_zero:
+        try:
+            sol = _solve3(m, [dom.ctx.one, dom.ctx.zero, dom.ctx.zero], "")
+        except FrameError:
             raise EquivalenceError("A0 elimination incomplete: "
-                                   "non-invertible element of the extension")
-        sol = []
-        rhs = [dom.ctx.one, dom.ctx.zero, dom.ctx.zero]
-        for k in range(3):
-            mk = [[rhs[i] if j == k else m[i][j] for j in range(3)] for i in range(3)]
-            dk = (mk[0][0] * (mk[1][1] * mk[2][2] - mk[1][2] * mk[2][1])
-                  - mk[0][1] * (mk[1][0] * mk[2][2] - mk[1][2] * mk[2][0])
-                  + mk[0][2] * (mk[1][0] * mk[2][1] - mk[1][1] * mk[2][0]))
-            sol.append(dk / det)
+                                   "non-invertible element of the extension") from None
         return ExtElem(dom, sol[0], sol[1], sol[2])
 
     def __eq__(self, o):
@@ -996,24 +988,10 @@ def model_involutivity_data() -> dict:
     rows = [[2 * vs, vs], [vsb, 2 * vsb], [vr, vr], [vz, ctx.zero],
             [ctx.zero, vzb]]
     # generic rank over the rational function field
-    rank = 0
-    cols = list(range(2))
-    work = [row[:] for row in rows]
-    for c in cols:
-        piv = next((r for r in range(rank, len(work))
-                    if not work[r][c].is_zero), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for r in range(len(work)):
-            if r != rank and not work[r][c].is_zero:
-                f = work[r][c] / work[rank][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
+    s1_prime = rank(rows)
     # absorption system of the prolonged model: unknowns p, q, r, s, t and
     # conjugates must annihilate every torsion slot; with all structure
     # functions zero the equations below force them all to vanish
-    from .liealg import nullspace
     names = ("p", "q", "r", "s", "t", "pb", "qb", "rb", "sb", "tb")
     idx = {n: k for k, n in enumerate(names)}
     eqs = [
@@ -1030,7 +1008,7 @@ def model_involutivity_data() -> dict:
             row[idx[n]] = GaussRat(v)
         rows2.append(row)
     free = len(nullspace(rows2, len(names)))
-    return {"s1_prime": rank, "degree_of_indeterminacy": free}
+    return {"s1_prime": s1_prime, "degree_of_indeterminacy": free}
 
 
 def _conj_name(n: str) -> str:

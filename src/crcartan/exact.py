@@ -19,7 +19,7 @@ Q(i), which is prohibitively slow.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from sympy.polys.domains import QQ_I
 from sympy.polys.orderings import grlex

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Context, Expr, GaussRat, I, standard_context
+from .liealg import rank
 
 BASE_VARS = ("x", "y", "u1", "u2", "u3")
 
@@ -252,25 +253,7 @@ def build_frame(g: GraphingFunctions, convention: str = "s12") -> Frame:
 
 
 def _check_independent(fr: Frame) -> None:
-    rows = [f.at_origin() for f in fr.in_frame_order()]
-    # 5x5 determinant over GaussRat by fraction-free elimination
-    n = 5
-    mat = [row[:] for row in rows]
-    det = GaussRat(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not mat[r][col].is_zero), None)
-        if piv is None:
-            raise FrameError("frame degenerate at the origin")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = GaussRat(1) / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            for cc in range(col, n):
-                mat[r][cc] = mat[r][cc] - f * mat[col][cc]
-    if det.is_zero:
+    if rank([f.at_origin() for f in fr.in_frame_order()]) < 5:
         raise FrameError("frame degenerate at the origin")
 
 

@@ -105,16 +105,21 @@ def mat_inv(A):
     return [row[n:] for row in R]
 
 
-def span_dim(vectors, ncols: int) -> int:
-    if not vectors:
-        return 0
-    return rank([v[:] for v in vectors])
+def in_span(v, basis) -> bool:
+    return rank(basis + [v]) == rank(basis)
 
 
-def in_span(v, basis, ncols: int) -> bool:
-    if not basis:
-        return all(x.is_zero for x in v)
-    return span_dim(basis + [v], ncols) == span_dim(basis, ncols)
+def span_coordinates(rows, m: int):
+    """Coordinates x of a target t in the span of m vectors b_k, or None.
+
+    Row c of `rows` is [b_1[c], ..., b_m[c], t[c]]; a nullspace vector v of
+    that system with v[m] != 0 gives t = sum_k (-v[k] / v[m]) b_k.
+    """
+    for v in nullspace(rows, m + 1):
+        if not v[m].is_zero:
+            f = GaussRat(-1) / v[m]
+            return [x * f for x in v[:m]]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,7 @@ def lower_central_series(g: LieAlgebra):
             ej = g.basis_vector(j)
             for v in prev:
                 gens.append(g.bracket(ej, v))
-        R, piv = rref(gens) if gens else ([], [])
+        R, piv = rref(gens)
         nxt = [R[r] for r in range(len(piv))]
         # every term is a basis (rows of an rref), so its length is its dim
         if len(nxt) == len(prev):
@@ -296,7 +301,7 @@ def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7
     for v in candidates:
         if all(x.is_zero for x in v):
             continue
-        if in_span(v, derived, n):
+        if in_span(v, derived):
             continue
         part = jordan_partition(g.ad(v))
         if best is None or part > best:
@@ -363,7 +368,7 @@ def _recognition_key(g: LieAlgebra) -> tuple:
     rows = [[sum((g.c[j][k][s] * v[k] for k in range(n)), GaussRat(0))
              for j in range(n)]
             for v in series[1] for s in range(n)]
-    centralizer = len(nullspace(rows, n)) if rows else n
+    centralizer = len(nullspace(rows, n))
     return (n, tuple(len(s) for s in series), len(center(g)), centralizer)
 
 
@@ -472,7 +477,6 @@ class GradedAlgebra:
 
     def is_fundamental(self) -> bool:
         """g_{-k-1} = [g_-1, g_-k] for every k >= 1."""
-        n = self.algebra.dim
         for k in range(1, self.depth):
             target = self.indices_of_degree(-k - 1)
             gens = []
@@ -480,7 +484,7 @@ class GradedAlgebra:
                 for j in self.indices_of_degree(-k):
                     gens.append(self.algebra.bracket(
                         self.algebra.basis_vector(i), self.algebra.basis_vector(j)))
-            if span_dim(gens, n) != len(target):
+            if rank(gens) != len(target):
                 return False
         return True
 
@@ -498,7 +502,7 @@ class ProlongationComponent:
 
 
 def tanaka_prolong(gm: GradedAlgebra, l_max: int = 6):
-    """Components g_0, g_1, ... of the prolongation of (g_-, J).
+    """Components g_0, g_1, ..., g_{l_max} of the prolongation of (g_-, J).
 
     g_0 consists of grading-preserving derivations commuting with J on the
     degree -1 part; for l >= 1, g_l consists of l-shifted graded maps
@@ -506,131 +510,33 @@ def tanaka_prolong(gm: GradedAlgebra, l_max: int = 6):
     u([x, y]) = [u(x), y] + [x, u(y)].  Computation stops at the first zero
     component (transitivity of the prolongation kills everything above).
     """
-    alg = gm.algebra
-    n = alg.dim
-    mu = gm.depth
-    deg_idx = {d: gm.indices_of_degree(d) for d in range(-mu, 0)}
-
-    def neg_pairs():
-        out = []
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append((j, k))
-        return out
-
-    # --- g_0 -----------------------------------------------------------------
-    # unknowns: block matrices D_d : g_d -> g_d
-    blocks = {d: (len(deg_idx[d]), len(deg_idx[d])) for d in deg_idx}
-    offsets = {}
-    total = 0
-    for d in sorted(blocks):
-        r, c = blocks[d]
-        offsets[d] = total
-        total += r * c
-
-    def unk(d, i, j):
-        r, c = blocks[d]
-        return offsets[d] + i * c + j
-
-    def apply_unknowns(vec_idx):
-        """Row of the linear action of D on basis vector e_{vec_idx}; returns
-        list over target coordinates of linear forms (dict unknown -> coeff)."""
-        d = gm.grading[vec_idx]
-        ids = deg_idx[d]
-        pos = ids.index(vec_idx)
-        out = [dict() for _ in range(n)]
-        for i, tgt in enumerate(ids):
-            out[tgt][unk(d, i, pos)] = GaussRat(1)
-        return out
-
-    rows = []
-
-    def add_rows_deriv():
-        for j, k in neg_pairs():
-            br = alg.bracket(alg.basis_vector(j), alg.basis_vector(k))
-            lhs = [dict() for _ in range(n)]
-            # D([ej, ek]) with [ej, ek] = sum br[s] e_s
-            for s in range(n):
-                if br[s].is_zero:
-                    continue
-                for t, form in enumerate(apply_unknowns(s)):
-                    for u_, cf in form.items():
-                        lhs[t][u_] = lhs[t].get(u_, GaussRat(0)) + br[s] * cf
-            # [D ej, ek] + [ej, D ek]
-            rhs = [dict() for _ in range(n)]
-            for (src, other, sign) in ((j, k, 1), (k, j, -1)):
-                for t, form in enumerate(apply_unknowns(src)):
-                    for u_, cf in form.items():
-                        bb = alg.bracket(alg.basis_vector(t), alg.basis_vector(other))
-                        for s in range(n):
-                            if bb[s].is_zero:
-                                continue
-                            rhs[s][u_] = rhs[s].get(u_, GaussRat(0)) + \
-                                GaussRat(sign) * cf * bb[s]
-            for s in range(n):
-                keys = set(lhs[s]) | set(rhs[s])
-                if keys:
-                    row = [GaussRat(0)] * total
-                    for u_ in keys:
-                        row[u_] = lhs[s].get(u_, GaussRat(0)) - rhs[s].get(u_, GaussRat(0))
-                    rows.append(row)
-
-    add_rows_deriv()
-    if gm.J is not None:
-        ids1 = deg_idx[-1]
-        d1 = len(ids1)
-        for i in range(d1):
-            for j in range(d1):
-                # (D J - J D)_{ij} = 0 on the degree -1 block
-                row = [GaussRat(0)] * total
-                for k in range(d1):
-                    row[unk(-1, i, k)] = row[unk(-1, i, k)] + gm.J[k][j]
-                    row[unk(-1, k, j)] = row[unk(-1, k, j)] - gm.J[i][k]
-                rows.append(row)
-
-    sols = nullspace(rows, total) if rows else \
-        [[GaussRat(1) if i == k else GaussRat(0) for i in range(total)]
-         for k in range(total)]
-    g0_basis = []
-    for v in sols:
-        mats = {}
-        for d in deg_idx:
-            r, c = blocks[d]
-            mats[d] = [[v[unk(d, i, j)] for j in range(c)] for i in range(r)]
-        g0_basis.append(mats)
-    components = [ProlongationComponent(0, g0_basis)]
-
-    # action of a g_0 element on a coordinate vector of g_-
-    def act_g0(mats, vec):
-        out = [GaussRat(0)] * n
-        for d, ids in deg_idx.items():
-            sub = [vec[t] for t in ids]
-            img = mat_vec(mats[d], sub)
-            for i, t in enumerate(ids):
-                out[t] = out[t] + img[i]
-        return out
-
-    # --- higher components ---------------------------------------------------
-    # an element of g_l (l >= 1) is a tuple of maps g_d -> (g_{d+l} or g_0 comp)
-    # represented concretely; we solve for them degree by degree.
-    for l in range(1, l_max + 1):
-        prev = components[l - 1]
-        if prev.dim == 0:
-            break
-        comp = _prolong_step(gm, components, l, act_g0)
+    components = []
+    for l in range(l_max + 1):
+        comp = _prolong_step(gm, components, l)
         components.append(comp)
         if comp.dim == 0:
             break
     return components
 
 
-def _prolong_step(gm: GradedAlgebra, components, l: int, act_g0):
-    """Solve the derivation equations for the degree-l component."""
+def _act_g0(gm: GradedAlgebra, mats, vec):
+    """Action of a g_0 element (one block per degree) on a vector of g_-."""
+    out = [GaussRat(0)] * len(vec)
+    for d, block in mats.items():
+        ids = gm.indices_of_degree(d)
+        img = mat_vec(block, [vec[t] for t in ids])
+        for i, t in enumerate(ids):
+            out[t] = out[t] + img[i]
+    return out
+
+
+def _prolong_step(gm: GradedAlgebra, components, l: int):
+    """Solve the derivation equations for the degree-l component, given
+    g_0 .. g_{l-1}; for l = 0 also D J = J D on the degree -1 part."""
     alg = gm.algebra
     n = alg.dim
     mu = gm.depth
     deg_idx = {d: gm.indices_of_degree(d) for d in range(-mu, 0)}
-    g0 = components[0]
 
     # target spaces: for source degree d (< 0), image degree d + l;
     # image is g_{d+l} in g_- if d + l < 0, or the component g_{d+l} if >= 0
@@ -688,7 +594,7 @@ def _prolong_step(gm: GradedAlgebra, components, l: int, act_g0):
         if img_deg == 0:
             out = [dict() for _ in range(n)]
             for i, mats in enumerate(comp.basis):
-                img = act_g0(mats, alg.basis_vector(other_idx))
+                img = _act_g0(gm, mats, alg.basis_vector(other_idx))
                 for fu, cf in forms[i].items():
                     for s in range(n):
                         if img[s].is_zero:
@@ -770,7 +676,18 @@ def _prolong_step(gm: GradedAlgebra, components, l: int, act_g0):
             if width:
                 add_eq(lhs, rhs, width)
 
-    sols = nullspace(rows, total) if rows else []
+    if l == 0 and gm.J is not None:
+        d1 = len(deg_idx[-1])
+        for i in range(d1):
+            for j in range(d1):
+                # (D J - J D)_{ij} = 0 on the degree -1 block
+                row = [GaussRat(0)] * total
+                for k in range(d1):
+                    row[unk(-1, i, k)] = row[unk(-1, i, k)] + gm.J[k][j]
+                    row[unk(-1, k, j)] = row[unk(-1, k, j)] - gm.J[i][k]
+                rows.append(row)
+
+    sols = nullspace(rows, total)
     basis = []
     for v in sols:
         maps = {}
@@ -796,20 +713,11 @@ def prolonged_algebra(gm: GradedAlgebra, components=None) -> LieAlgebra:
     n = alg.dim
     g0 = comps[0]
     m = g0.dim
-    deg_idx = {d: gm.indices_of_degree(d) for d in set(gm.grading)}
-
-    def act(mats, vec):
-        out = [GaussRat(0)] * n
-        for d, ids in deg_idx.items():
-            sub = [vec[t] for t in ids]
-            img = mat_vec(mats[d], sub)
-            for i, t in enumerate(ids):
-                out[t] = out[t] + img[i]
-        return out
+    degrees = sorted(set(gm.grading))
 
     def flat(mats):
         row = []
-        for d in sorted(deg_idx):
+        for d in degrees:
             for r in mats[d]:
                 row.extend(r)
         return row
@@ -820,12 +728,10 @@ def prolonged_algebra(gm: GradedAlgebra, components=None) -> LieAlgebra:
         target = flat(mats)
         rows = [[basis_flat[k][c] for k in range(m)] + [target[c]]
                 for c in range(len(target))]
-        sol = nullspace(rows, m + 1)
-        for v in sol:
-            if not v[m].is_zero:
-                f = GaussRat(-1) / v[m]
-                return [x * f for x in v[:m]]
-        raise LieAlgebraError("g0 commutator leaves the computed g0")
+        coords = span_coordinates(rows, m)
+        if coords is None:
+            raise LieAlgebraError("g0 commutator leaves the computed g0")
+        return coords
 
     N = n + m
     c = [[[GaussRat(0)] * N for _ in range(N)] for _ in range(N)]
@@ -836,7 +742,7 @@ def prolonged_algebra(gm: GradedAlgebra, components=None) -> LieAlgebra:
     for a in range(m):
         mats = g0.basis[a]
         for j in range(n):
-            img = act(mats, alg.basis_vector(j))
+            img = _act_g0(gm, mats, alg.basis_vector(j))
             for s in range(n):
                 c[n + a][j][s] = img[s]
                 c[j][n + a][s] = -img[s]

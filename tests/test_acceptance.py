@@ -20,9 +20,8 @@ from crcartan.exact import GaussRat, I, parse, standard_context
 from crcartan.frames import (build_frame, cubic_model, efgjk_from_formulas,
                              jacobi_relations_check, lie_bracket, pair_deformation,
                              structure_functions, VectorField)
-from crcartan.liealg import (GradedAlgebra, LieAlgebra, mat_inv,
-                             prolonged_algebra, recognize_dim_le5,
-                             tanaka_prolong, validate, verify_isomorphism)
+from crcartan.liealg import (GradedAlgebra, LieAlgebra, mat_inv, recognize_dim_le5,
+                             tanaka_prolong, verify_isomorphism)
 from test_equivalence import aut_table_algebra, expected_e_structure_algebra, psi_matrix
 from test_liealg import J_STD
 

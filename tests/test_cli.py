@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,7 @@ CUBIC_PHIS = "phi2 = 2*x^3 + 2*x*y^2\nphi3 = 2*x^2*y + 2*y^3\n"
     ("tanaka", "index0.alg", "dim = 3\ngrading = -1 -1 -2\n[e0, e1] = e2\n"),
     ("tanaka", "grading.alg", "dim = 2\ngrading = 1 1\n"),
     ("tanaka", "j.alg", "dim = 3\ngrading = -1 -1 -2\nJ = e1 -> e3\n"),
+    ("tanaka", "const.alg", "dim = 3\ngrading = -1 -1 -2\n[e1, e2] = e3 + 1\n"),
 ])
 def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
     path = tmp_path / name
@@ -179,6 +181,20 @@ def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
     assert rc == 2
     assert out == ""
     assert "parse error" in err
+
+
+def test_closed_stdout_keeps_exit_contract():
+    """A reader that closes the pipe before the report is written."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crcartan.cli", "tanaka", str(MODELS / "n5_4.alg")],
+            stdout=w, stderr=subprocess.PIPE, text=True, cwd=ROOT)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
 
 
 MODEL_LINES = [

@@ -323,6 +323,70 @@ def test_tanaka_heisenberg_with_J():
     assert any(not v[2].is_zero for v in sol)
 
 
+def _lcs_grading(g):
+    """Degree -m for a basis vector in the m-th term of the lower central
+    series and not in the next one."""
+    series = lower_central_series(g)
+    return tuple(-max(m for m, term in enumerate(series, start=1)
+                      if term and LA.in_span(g.basis_vector(k), term))
+                 for k in range(g.dim))
+
+
+def _degree_minus_one_J(grading):
+    """J_STD on consecutive pairs of the degree -1 part, when it is even."""
+    d = grading.count(-1)
+    if d % 2:
+        return None
+    J = [[GaussRat(0)] * d for _ in range(d)]
+    for a in range(0, d, 2):
+        J[a + 1][a] = GaussRat(1)
+        J[a][a + 1] = GaussRat(-1)
+    return J
+
+
+# dim g_0, dim g_1, ... of each table algebra graded by its lower central
+# series (n5_2 and n5_3 admit no such grading), without and with J; the
+# prolongation stops at a zero component or after g_6.  The largest symbols
+# of infinite type are prolonged to a lower degree to keep the test short.
+PROLONGATION_DIMS = {
+    "a1": ([1, 1, 1, 1, 1, 1, 1], None),
+    "a2": ([4, 6, 8, 10, 12, 14, 16], [2, 2, 2, 2, 2, 2, 2]),
+    "a3": ([9, 18, 30, 45, 63, 84, 108], None),
+    "a4": ([16, 40, 80, 140], [8, 12, 16, 20, 24, 28, 32]),
+    "a5": ([25, 75, 175], None),
+    "n3_1": ([4, 6, 9, 12, 16, 20, 25], [2, 2, 1, 0]),
+    "n3_1+a1": ([7, 13, 22, 34, 50, 70, 95], None),
+    "n3_1+a2": ([12, 28, 57, 104], [6, 10, 13, 18, 24, 32, 40]),
+    "n4_1": ([3, 4, 5, 7, 8, 10, 12], [1, 0]),
+    "n4_1+a1": ([6, 11, 19, 32, 49, 74, 107], None),
+    "n5_1": ([3, 3, 4, 5, 6, 7, 8], [1, 0]),
+    "n5_4": ([4, 2, 1, 2, 0], [2, 0]),
+    "n5_5": ([7, 9, 15, 18, 26, 30, 40], None),
+    "n5_6": ([11, 24, 46, 80], [5, 4, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROLONGATION_DIMS))
+def test_prolongation_dims_of_table_algebras(name):
+    g = LA._table_algebras()[name]
+    grading = _lcs_grading(g)
+    for dims, J in zip(PROLONGATION_DIMS[name], (None, _degree_minus_one_J(grading))):
+        if dims is None:
+            assert J is None
+            continue
+        gm = GradedAlgebra(g, grading, J)
+        l_max = len(dims) - 1 if dims[-1] else 6
+        assert [c.dim for c in tanaka_prolong(gm, l_max)] == dims
+
+
+def test_only_n5_2_and_n5_3_lack_a_lower_central_series_grading():
+    for name, g in LA._table_algebras().items():
+        if name in PROLONGATION_DIMS:
+            continue
+        with pytest.raises(LieAlgebraError, match="grading"):
+            GradedAlgebra(g, _lcs_grading(g))
+
+
 def test_grading_violation_detected():
     with pytest.raises(LieAlgebraError, match="grading"):
         GradedAlgebra(n5_4(), (-1, -1, -1, -3, -3), None)
