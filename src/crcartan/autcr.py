@@ -43,8 +43,8 @@ class RigidModel:
     Phi: tuple
 
     def __post_init__(self):
-        iz = self.ctx._index["z"]
-        izb = self.ctx._index["zb"]
+        iz = self.ctx.names.index("z")
+        izb = self.ctx.names.index("zb")
         for k, phi in enumerate(self.Phi, start=1):
             if not phi.is_polynomial:
                 raise AutCRError(f"Phi{k} must be polynomial")
@@ -52,7 +52,7 @@ class RigidModel:
                 raise AutCRError(f"Phi{k} vanishes: model is Levi degenerate")
             if phi.conj() != phi:
                 raise AutCRError(f"Phi{k} is not real-valued")
-            for m in phi.num.itermonoms():
+            for m in phi.numerator().terms():
                 if not (m[iz] and m[izb]):
                     raise AutCRError(f"Phi{k} is not O(z zb)")
 
@@ -64,7 +64,7 @@ class RigidModel:
         """Weight of each w_j: the weighted degree of Phi_j (z, zb of weight 1)."""
         out = []
         for phi in self.Phi:
-            out.append(max(sum(m) for m in phi.num.itermonoms()))
+            out.append(phi.numerator().total_degree())
         return out
 
 
@@ -233,8 +233,7 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
                           for j in range(m.codim)))
                 res = tangency_residuals(coeff_field, m)
                 for j, r in enumerate(res):
-                    for mon, co in r.num.iterterms():
-                        g = GaussRat.from_domain(co)
+                    for mon, g in r.numerator().terms().items():
                         add(base + off, (j, mon, "re"), GaussRat(g.re))
                         add(base + off, (j, mon, "im"), GaussRat(g.im))
 
@@ -259,21 +258,15 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
     return AutAlgebra(m, basis, alg)
 
 
-def _field_coordinates(ctx: Context, basis: list, X: HolField):
+def _field_coordinates(basis: list, X: HolField):
     """Real coordinates of X in span_R(basis); None if X is outside."""
     keyed: dict = {}
     cols = len(basis)
-    for bi, b in enumerate(basis):
+    for bi, b in enumerate(basis + [X]):
         for c, comp in enumerate(b.components()):
-            for mon, co in comp.num.iterterms():
-                g = GaussRat.from_domain(co)
+            for mon, g in comp.numerator().terms().items():
                 keyed.setdefault((c, mon, "re"), [GaussRat(0)] * (cols + 1))[bi] = GaussRat(g.re)
                 keyed.setdefault((c, mon, "im"), [GaussRat(0)] * (cols + 1))[bi] = GaussRat(g.im)
-    for c, comp in enumerate(X.components()):
-        for mon, co in comp.num.iterterms():
-            g = GaussRat.from_domain(co)
-            keyed.setdefault((c, mon, "re"), [GaussRat(0)] * (cols + 1))[cols] = GaussRat(g.re)
-            keyed.setdefault((c, mon, "im"), [GaussRat(0)] * (cols + 1))[cols] = GaussRat(g.im)
     return span_coordinates(list(keyed.values()), cols)
 
 
@@ -285,7 +278,7 @@ def _structure_constants(m: RigidModel, basis: list, weight_bound: int) -> LieAl
             br = basis[i].bracket(basis[j])
             if br.is_zero:
                 continue
-            coords = _field_coordinates(m.ctx, basis, br)
+            coords = _field_coordinates(basis, br)
             if coords is None:
                 raise AutCRError(
                     "bracket leaves the solution span: weight bound "
@@ -309,13 +302,13 @@ def field_weight(m: RigidModel, X: HolField) -> int | None:
     in the W^j component, weight(monomial) - weight(w_j).
     """
     ws = m.weights()
-    ctx = m.ctx
-    iz = ctx._index["z"]
-    iw = [ctx._index[f"w{j}"] for j in range(1, m.codim + 1)]
+    names = m.ctx.names
+    iz = names.index("z")
+    iw = [names.index(f"w{j}") for j in range(1, m.codim + 1)]
     seen = set()
     for c, comp in enumerate(X.components()):
         drop = 1 if c == 0 else ws[c - 1]
-        for mon in comp.num.itermonoms():
+        for mon in comp.numerator().terms():
             wt = mon[iz] + sum(mon[k] * ws[t] for t, k in enumerate(iw))
             seen.add(wt - drop)
     if len(seen) == 1:

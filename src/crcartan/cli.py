@@ -196,7 +196,7 @@ def parse_algebra_file(text: str):
         row = {}
         for s in range(dim):
             co = e.diff(f"e{s+1}")
-            if not co.is_polynomial or not co.num.is_ground:
+            if not co.is_polynomial or co.variables():
                 raise ParseError("bracket right side must be linear", lineno)
             v = co.evaluate(origin)
             if not v.is_zero:

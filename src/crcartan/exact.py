@@ -14,6 +14,12 @@ all denominators are products of powers of a handful of determinant
 polynomials (plus monomials in the group parameters), so trial division
 recovers the reduced fraction without ever running a multivariate gcd over
 Q(i), which is prohibitively slow.
+
+This is the only module that knows the underlying ring (sympy's sparse
+polynomials over QQ_I).  Other modules work through `Expr`'s methods
+(arithmetic, `is_zero`, `conj`, `diff`, `subs`, `evaluate`, `variables`,
+`laurent_terms`) and read monomials and coefficients through
+`numerator().terms()`; a change of kernel only has to change this file.
 """
 
 from __future__ import annotations
@@ -140,11 +146,11 @@ class GaussRat:
     def __str__(self):
         return _render_coeff(self, bare=True)
 
-    def to_domain(self):
+    def _to_domain(self):
         return QQ_I.new(self.re, self.im)
 
     @classmethod
-    def from_domain(cls, c) -> "GaussRat":
+    def _from_domain(cls, c) -> "GaussRat":
         return cls._make(Fraction(c.x.numerator, c.x.denominator),
                          Fraction(c.y.numerator, c.y.denominator))
 
@@ -223,7 +229,7 @@ class Context:
 
     def const(self, value) -> "Expr":
         g = value if isinstance(value, GaussRat) else GaussRat(value)
-        return Expr(self, self._ring.ground_new(g.to_domain()), ())
+        return Expr(self, self._ring.ground_new(g._to_domain()), ())
 
     # -- raw polynomial helpers --------------------------------------------
 
@@ -315,7 +321,12 @@ class Context:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """A polynomial of a Context, exposed as {exponent tuple: GaussRat}."""
+    """A polynomial of a Context, read as {exponent tuple: GaussRat}.
+
+    This is the coefficient face of the ring: code outside this module reads
+    monomials and coefficients through `terms()` (exponents indexed like
+    `ctx.names`, in the ring's term order) and never the ring itself.
+    """
 
     __slots__ = ("ctx", "p")
 
@@ -325,11 +336,11 @@ class Poly:
 
     @classmethod
     def from_terms(cls, ctx: Context, terms: Mapping[tuple, GaussRat]) -> "Poly":
-        d = {m: c.to_domain() for m, c in terms.items() if not c.is_zero}
+        d = {m: c._to_domain() for m, c in terms.items() if not c.is_zero}
         return cls(ctx, ctx._ring.from_dict(d))
 
     def terms(self) -> dict[tuple, GaussRat]:
-        return {m: GaussRat.from_domain(c) for m, c in self.p.iterterms()}
+        return {m: GaussRat._from_domain(c) for m, c in self.p.iterterms()}
 
     @property
     def is_zero(self) -> bool:
@@ -341,48 +352,8 @@ class Poly:
     def as_expr(self) -> "Expr":
         return Expr(self.ctx, self.p, ())
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other.p
-        if isinstance(other, (int, Fraction, GaussRat)):
-            g = other if isinstance(other, GaussRat) else GaussRat(other)
-            return self.ctx._ring.ground_new(g.to_domain())
-        return None
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        return NotImplemented if q is None else Poly(self.ctx, self.p + q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        return NotImplemented if q is None else Poly(self.ctx, self.p - q)
-
-    def __neg__(self):
-        return Poly(self.ctx, -self.p)
-
-    def __mul__(self, other):
-        q = self._coerce(other)
-        return NotImplemented if q is None else Poly(self.ctx, self.p * q)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return Poly(self.ctx, self.p ** k)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.p == other.p
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.p.iterterms())))
-
-    def conj(self) -> "Poly":
-        return Poly(self.ctx, self.ctx._conj_poly(self.p))
-
-    def diff(self, name: str) -> "Poly":
-        k = self.ctx._index[name]
-        return Poly(self.ctx, self.p.diff(self.ctx._gens[k]))
 
     def __str__(self):
         return _render_poly(self.ctx, self.p)
@@ -600,13 +571,13 @@ class Expr:
         vals = {}
         for n, v in point.items():
             g = v if isinstance(v, GaussRat) else GaussRat(v)
-            vals[ctx._index[n]] = g.to_domain()
+            vals[ctx._index[n]] = g._to_domain()
         n = _eval_poly(ctx, self.num, vals)
         d = _eval_poly(ctx, ctx._expand(self.den), vals)
         if not d:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         q = n / d
-        return GaussRat.from_domain(q)
+        return GaussRat._from_domain(q)
 
     @property
     def is_real(self) -> bool:
@@ -621,6 +592,37 @@ class Expr:
                     if e:
                         seen.add(self.ctx.names[k])
         return seen
+
+    def laurent_terms(self, x: str, y: str):
+        """Split self as x^-dx y^-dy sum_k x^i_k y^j_k c_k, each c_k free of x, y.
+
+        Returns (dx, dy, [(i_k, j_k, c_k), ...]) in the numerator's term
+        order.  The denominator may hold the atoms x and y themselves and
+        atoms free of both; any other atom raises ExactError.
+        """
+        ctx = self.ctx
+        ix, iy = ctx._index[x], ctx._index[y]
+        dx = dy = 0
+        rest_den = {}
+        for aid, e in self.den:
+            atom = ctx._atoms[aid]
+            mono = atom.leading_expv() if len(atom) == 1 else None
+            if mono is not None and sum(mono) == 1 and mono[ix] == 1:
+                dx += e
+            elif mono is not None and sum(mono) == 1 and mono[iy] == 1:
+                dy += e
+            elif any(m[ix] or m[iy] for m in atom.itermonoms()):
+                raise ExactError(f"denominator atom mixes {x} or {y} with other terms")
+            else:
+                rest_den[aid] = e
+        terms = []
+        for monom, coeff in self.num.iterterms():
+            m2 = list(monom)
+            i, j = m2[ix], m2[iy]
+            m2[ix] = m2[iy] = 0
+            c = Expr._make(ctx, ctx._ring.from_dict({tuple(m2): coeff}), dict(rest_den))
+            terms.append((i, j, c))
+        return dx, dy, terms
 
     # -- rendering -------------------------------------------------------------
 
@@ -669,11 +671,11 @@ def normalize(num: Poly, den: Poly) -> Expr:
     return num.as_expr() / den.as_expr()
 
 
-def conj(e: Expr | Poly | GaussRat) -> Expr | Poly | GaussRat:
+def conj(e: Expr | GaussRat) -> Expr | GaussRat:
     return e.conj()
 
 
-def diff(e: Expr | Poly, name: str) -> Expr | Poly:
+def diff(e: Expr, name: str) -> Expr:
     return e.diff(name)
 
 
@@ -708,7 +710,7 @@ def _render_poly(ctx: Context, p) -> str:
         return "0"
     parts = []
     for monom, coeff in sorted(p.iterterms(), key=lambda t: grlex(t[0]), reverse=True):
-        c = GaussRat.from_domain(coeff)
+        c = GaussRat._from_domain(coeff)
         mon = [f"{ctx.names[k]}^{e}" if e > 1 else ctx.names[k]
                for k, e in enumerate(monom) if e]
         if not mon:

@@ -272,7 +272,12 @@ def jordan_partition(A):
     return tuple(sorted(sizes, reverse=True))
 
 
-def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7):
+#: random small-integer candidates of characteristic_sequence, and their seed
+_CHAR_SEQ_TRIALS = 40
+_CHAR_SEQ_SEED = 7
+
+
+def characteristic_sequence(g: LieAlgebra):
     """Goze invariant: lexicographically maximal Jordan partition of ad(x)
     over x outside the derived algebra.
 
@@ -284,7 +289,7 @@ def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7
     """
     n = g.dim
     derived = lower_central_series(g)[1]
-    rng = random.Random(seed)
+    rng = random.Random(_CHAR_SEQ_SEED)
     candidates = [g.basis_vector(k) for k in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
@@ -295,7 +300,7 @@ def characteristic_sequence(g: LieAlgebra, extra_trials: int = 40, seed: int = 7
             w = v[:]
             w[k] = GaussRat(-1)
             candidates.append(w)
-    for _ in range(extra_trials):
+    for _ in range(_CHAR_SEQ_TRIALS):
         candidates.append([GaussRat(rng.randint(-3, 3)) for _ in range(n)])
     best = None
     for v in candidates:
@@ -538,6 +543,14 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
     mu = gm.depth
     deg_idx = {d: gm.indices_of_degree(d) for d in range(-mu, 0)}
 
+    def slots(deg):
+        """Coordinates of degree deg in its value space: the g_- indices for
+        a negative degree, the component coordinates otherwise."""
+        return deg_idx[deg] if deg < 0 else range(components[deg].dim)
+
+    def width(deg):
+        return n if deg < 0 else components[deg].dim
+
     # target spaces: for source degree d (< 0), image degree d + l;
     # image is g_{d+l} in g_- if d + l < 0, or the component g_{d+l} if >= 0
     src_degs = [d for d in deg_idx if d + l <= len(components) - 1]
@@ -545,11 +558,7 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
     offsets = {}
     total = 0
     for d in sorted(src_degs):
-        ncols = len(deg_idx[d])
-        if d + l < 0:
-            nrows = len(deg_idx[d + l])
-        else:
-            nrows = components[d + l].dim
+        nrows, ncols = len(slots(d + l)), len(deg_idx[d])
         sizes[d] = (nrows, ncols)
         offsets[d] = total
         total += nrows * ncols
@@ -576,7 +585,8 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
         """[u(e_src), e_other] as linear forms over the coordinates of the
         result space: g_- coordinates when the result degree is negative,
         component coordinates otherwise.  For img_deg >= 0 the bracket is the
-        evaluation of the component element on e_other."""
+        evaluation of the component element (its map of degree d_other) on
+        e_other."""
         d_other = gm.grading[other_idx]
         res_deg = img_deg + d_other
         if img_deg < 0:
@@ -590,35 +600,16 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
                             continue
                         out[s][fu] = out[s].get(fu, GaussRat(0)) + GaussRat(sign) * cf * bb[s]
             return res_deg, out
-        comp = components[img_deg]
-        if img_deg == 0:
-            out = [dict() for _ in range(n)]
-            for i, mats in enumerate(comp.basis):
-                img = _act_g0(gm, mats, alg.basis_vector(other_idx))
-                for fu, cf in forms[i].items():
-                    for s in range(n):
-                        if img[s].is_zero:
-                            continue
-                        out[s][fu] = out[s].get(fu, GaussRat(0)) + GaussRat(sign) * cf * img[s]
-            return res_deg, out
-        # img_deg >= 1: evaluate each basis map of the component on e_other
         pos = deg_idx[d_other].index(other_idx)
-        width = n if res_deg < 0 else components[res_deg].dim
-        out = [dict() for _ in range(width)]
-        for i, maps in enumerate(comp.basis):
+        res_slots = slots(res_deg)
+        out = [dict() for _ in range(width(res_deg))]
+        for i, maps in enumerate(components[img_deg].basis):
             col = [row[pos] for row in maps[d_other]]
             for fu, cf in forms[i].items():
-                if res_deg < 0:
-                    ids = deg_idx[res_deg]
-                    for r, t in enumerate(ids):
-                        if col[r].is_zero:
-                            continue
-                        out[t][fu] = out[t].get(fu, GaussRat(0)) + GaussRat(sign) * cf * col[r]
-                else:
-                    for r in range(width):
-                        if col[r].is_zero:
-                            continue
-                        out[r][fu] = out[r].get(fu, GaussRat(0)) + GaussRat(sign) * cf * col[r]
+                for r, t in enumerate(res_slots):
+                    if col[r].is_zero:
+                        continue
+                    out[t][fu] = out[t].get(fu, GaussRat(0)) + GaussRat(sign) * cf * col[r]
         return res_deg, out
 
     rows = []
@@ -640,30 +631,18 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
             lhs_deg = dd + l
             if lhs_deg < -mu:
                 continue
-            if lhs_deg < 0:
-                lhs = [dict() for _ in range(n)]
-            else:
-                lhs = [dict() for _ in range(components[lhs_deg].dim)]
+            lhs = [dict() for _ in range(width(lhs_deg))]
             for s in range(n):
                 if br[s].is_zero:
                     continue
                 ideg, forms = u_of(s)
                 if forms is None:
                     continue
-                for i, f in enumerate(forms):
-                    tgt = lhs
-                    if ideg < 0:
-                        t = deg_idx[ideg][i]
-                        for fu, cf in f.items():
-                            tgt[t][fu] = tgt[t].get(fu, GaussRat(0)) + br[s] * cf
-                    else:
-                        for fu, cf in f.items():
-                            tgt[i][fu] = tgt[i].get(fu, GaussRat(0)) + br[s] * cf
+                for t, f in zip(slots(ideg), forms):
+                    for fu, cf in f.items():
+                        lhs[t][fu] = lhs[t].get(fu, GaussRat(0)) + br[s] * cf
             # [u(ej), ek] + [ej, u(ek)]
-            if lhs_deg < 0:
-                rhs = [dict() for _ in range(n)]
-            else:
-                rhs = [dict() for _ in range(components[lhs_deg].dim)]
+            rhs = [dict() for _ in range(width(lhs_deg))]
             for (src, other, sign) in ((j, k, 1), (k, j, -1)):
                 ideg, forms = u_of(src)
                 if forms is None:
@@ -672,9 +651,8 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
                 for s in range(len(out)):
                     for fu, cf in out[s].items():
                         rhs[s][fu] = rhs[s].get(fu, GaussRat(0)) + cf
-            width = n if lhs_deg < 0 else components[lhs_deg].dim
-            if width:
-                add_eq(lhs, rhs, width)
+            if width(lhs_deg):
+                add_eq(lhs, rhs, width(lhs_deg))
 
     if l == 0 and gm.J is not None:
         d1 = len(deg_idx[-1])

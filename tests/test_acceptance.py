@@ -87,7 +87,7 @@ def test_criterion_05_aut_cr_cubic():
     gens = cubic_generators(m.ctx)
     tangent_ok = all(verify_tangency(X, m) == "ok" for X in gens.values())
     order = ("S2", "S1", "T", "L2", "L1", "D", "R")
-    phi = [_field_coordinates(m.ctx, alg.basis, gens[nm]) for nm in order]
+    phi = [_field_coordinates(alg.basis, gens[nm]) for nm in order]
     iso_ok = (None not in phi and
               verify_isomorphism(phi, aut_table_algebra(), alg.algebra) == "ok")
     _report(5, len(alg.basis) == 7 and tangent_ok and iso_ok,

@@ -81,7 +81,7 @@ def test_cubic_table_isomorphic_to_expected(cubic_aut):
     order = ("S2", "S1", "T", "L2", "L1", "D", "R")
     phi = []
     for nm in order:
-        coords = _field_coordinates(cubic_aut.model.ctx, cubic_aut.basis, gens[nm])
+        coords = _field_coordinates(cubic_aut.basis, gens[nm])
         assert coords is not None, f"{nm} outside the solved span"
         phi.append(coords)
     assert verify_isomorphism(phi, aut_table_algebra(), cubic_aut.algebra) == "ok"
@@ -123,7 +123,7 @@ def test_heisenberg_solver():
     scaling = HolField(ctx, z, (2 * w1,))
     for X in (dw, scaling):
         assert verify_tangency(X, alg.model) == "ok"
-        assert _field_coordinates(ctx, alg.basis, X) is not None
+        assert _field_coordinates(alg.basis, X) is not None
     # the full sphere algebra needs weight 4 monomials in the ansatz
     alg4 = solve_rigid_aut(heisenberg_model())
     assert len(alg4.basis) == 8

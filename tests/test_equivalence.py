@@ -206,6 +206,15 @@ def test_ext_domain_relations(quartic_geometry):
     R_e, Rb_e = quartic_geometry.sf.R, quartic_geometry.sf.R.conj()
     rhs = edom.lift(L.apply(R_e ** 2 * Rb_e))
     assert (lhs - rhs).is_zero
+    # an extension element answers diff, subs and variables like an Expr;
+    # A0 does not depend on the group parameters
+    ctx = edom.ctx
+    a, e, eb = ctx.vars("a", "e", "eb")
+    y = edom.lift(a * eb) + A0 * e - A0b * (e * eb)
+    assert y.variables() == {"a", "e", "eb"}
+    assert y.diff("e") == A0 - A0b * eb
+    assert y.diff("a") == edom.lift(eb)
+    assert y.subs({"e": ctx.zero, "eb": ctx.one}) == edom.lift(a)
 
 
 def test_branch_rneq0_invariants(quartic_geometry, quartic_report):
