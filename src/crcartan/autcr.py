@@ -37,7 +37,11 @@ def rigid_context(d: int = 3) -> Context:
 
 @dataclass(frozen=True)
 class RigidModel:
-    """w_j - wb_j = 2i Phi_j(z, zb) with real-valued polynomial Phi_j."""
+    """w_j - wb_j = 2i Phi_j(z, zb) with real-valued polynomial Phi_j.
+
+    Each Phi_j is O(z zb) and homogeneous in (z, zb), so that its degree is
+    the weight of w_j.
+    """
 
     ctx: Context
     Phi: tuple
@@ -52,9 +56,12 @@ class RigidModel:
                 raise AutCRError(f"Phi{k} vanishes: model is Levi degenerate")
             if phi.conj() != phi:
                 raise AutCRError(f"Phi{k} is not real-valued")
-            for m in phi.numerator().terms():
+            monoms = phi.numerator().terms()
+            for m in monoms:
                 if not (m[iz] and m[izb]):
                     raise AutCRError(f"Phi{k} is not O(z zb)")
+            if len({m[iz] + m[izb] for m in monoms}) > 1:
+                raise AutCRError(f"Phi{k} is not homogeneous in (z, zb)")
 
     @property
     def codim(self) -> int:

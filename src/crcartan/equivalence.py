@@ -174,6 +174,8 @@ class ExtElem:
 
     def __add__(self, o):
         o = self._coerce(o)
+        if o is None:
+            return NotImplemented
         return ExtElem(self.dom, self.p + o.p, self.q + o.q, self.r + o.r)
 
     __radd__ = __add__
@@ -183,15 +185,16 @@ class ExtElem:
 
     def __sub__(self, o):
         o = self._coerce(o)
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, o):
         return -(self - o)
 
     def __mul__(self, o):
         o = self._coerce(o)
-        R, Rb = self.dom.R, self.dom.Rb
-        N = R * Rb
+        if o is None:
+            return NotImplemented
+        R, Rb, N = self.dom.R, self.dom.Rb, self.dom.N
         p1, q1, r1 = self.p, self.q, self.r
         p2, q2, r2 = o.p, o.q, o.r
         return ExtElem(
@@ -205,10 +208,11 @@ class ExtElem:
 
     def __truediv__(self, o):
         o = self._coerce(o)
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, o):
-        return self._coerce(o) / self
+        o = self._coerce(o)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -226,8 +230,7 @@ class ExtElem:
     def inverse(self):
         # columns of multiplication-by-self on the basis (1, A0, A0b)
         dom = self.dom
-        R, Rb = dom.R, dom.Rb
-        N = R * Rb
+        R, Rb, N = dom.R, dom.Rb, dom.N
         p, q, r = self.p, self.q, self.r
         m = [[p, r * N, q * N],
              [q, p, r * Rb],
@@ -290,6 +293,7 @@ class ExtDomain:
         self.ctx = frame.ctx
         self.R = R
         self.Rb = R.conj()
+        self.N = R * self.Rb      # A0 A0b, read by every product and inverse
         self._fields = frame.in_frame_order()
         third = self.ctx.one / 3
         self._lam = []   # X_w(A0)/A0

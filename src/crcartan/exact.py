@@ -15,6 +15,18 @@ polynomials (plus monomials in the group parameters), so trial division
 recovers the reduced fraction without ever running a multivariate gcd over
 Q(i), which is prohibitively slow.
 
+Each Context caches work whose inputs never change once an atom is
+registered, so the normalization chain does not redo it:
+  * `_expand(den)`: the product prod(atom^e) per denominator tuple;
+  * `_atom_deriv(aid, k)`: the derivative of an atom in variable k;
+  * `_conj_scale(aid)`: the scalar s with conj(atom) = s * conjugate atom;
+  * `const(value)`: the constant Expr per value.
+The keys are atom ids, denominator tuples or constant values, and atoms are
+never changed after registration, so an entry stays valid for the life of
+its Context (and is meaningless in any other: each Context owns its caches).
+Cached ring elements are never mutated in place; every operation builds a
+new element.  Results are identical to recomputing, term order included.
+
 This is the only module that knows the underlying ring (sympy's sparse
 polynomials over QQ_I).  Other modules work through `Expr`'s methods
 (arithmetic, `is_zero`, `conj`, `diff`, `subs`, `evaluate`, `variables`,
@@ -206,6 +218,11 @@ class Context:
         # registry of monic denominator atoms; ids are stable forever
         self._atoms: list = []
         self._conj_atom: dict[int, int] = {}
+        # caches of results that never change once an atom is registered
+        self._expanded: dict[tuple, object] = {}             # den -> product
+        self._atom_derivs: dict[tuple[int, int], object] = {}  # (aid, var)
+        self._conj_scales: dict[int, object] = {}            # aid -> scalar
+        self._consts: dict[object, Expr] = {}                # value -> Expr
         self.zero = Expr(self, self._ring.zero, ())
         self.one = Expr(self, self._ring.one, ())
 
@@ -228,8 +245,12 @@ class Context:
         return self.names[self._conj_perm[self._index[name]]]
 
     def const(self, value) -> "Expr":
-        g = value if isinstance(value, GaussRat) else GaussRat(value)
-        return Expr(self, self._ring.ground_new(g._to_domain()), ())
+        e = self._consts.get(value)
+        if e is None:
+            g = value if isinstance(value, GaussRat) else GaussRat(value)
+            e = Expr(self, self._ring.ground_new(g._to_domain()), ())
+            self._consts[value] = e
+        return e
 
     # -- raw polynomial helpers --------------------------------------------
 
@@ -310,10 +331,34 @@ class Context:
         return aid
 
     def _expand(self, den: tuple) -> "PolyElement":
-        p = self._ring.one
-        for aid, e in den:
-            p = p * self._atoms[aid] ** e
+        """The product prod(atom^e) over den, computed once per den."""
+        p = self._expanded.get(den)
+        if p is None:
+            p = self._ring.one
+            for aid, e in den:
+                p = p * self._atoms[aid] ** e
+            self._expanded[den] = p
         return p
+
+    def _atom_deriv(self, aid: int, k: int) -> "PolyElement":
+        """d atom / d (variable k), computed once per pair."""
+        key = (aid, k)
+        d = self._atom_derivs.get(key)
+        if d is None:
+            d = self._atom_derivs[key] = self._atoms[aid].diff(self._gens[k])
+        return d
+
+    def _conj_scale(self, aid: int):
+        """The scalar s with conj(atom aid) = s * atom conj_atom[aid].
+
+        The conjugate of a monic atom is a scalar multiple of the registered
+        conjugate atom; s is its leading coefficient.
+        """
+        s = self._conj_scales.get(aid)
+        if s is None:
+            cA = self._conj_poly(self._atoms[aid])
+            s = self._conj_scales[aid] = cA[cA.leading_expv()]
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +486,13 @@ class Expr:
         lcm = dict(d1)
         for aid, e in d2.items():
             lcm[aid] = max(lcm.get(aid, 0), e)
-        m1 = ctx._expand(tuple((aid, e - d1.get(aid, 0))
-                               for aid, e in lcm.items() if e > d1.get(aid, 0)))
-        m2 = ctx._expand(tuple((aid, e - d2.get(aid, 0))
-                               for aid, e in lcm.items() if e > d2.get(aid, 0)))
-        return Expr._make(ctx, self.num * m1 + o.num * m2, lcm)
+        m1 = tuple((aid, e - d1.get(aid, 0))
+                   for aid, e in lcm.items() if e > d1.get(aid, 0))
+        m2 = tuple((aid, e - d2.get(aid, 0))
+                   for aid, e in lcm.items() if e > d2.get(aid, 0))
+        n1 = self.num * ctx._expand(m1) if m1 else self.num
+        n2 = o.num * ctx._expand(m2) if m2 else o.num
+        return Expr._make(ctx, n1 + n2, lcm)
 
     __radd__ = __add__
 
@@ -481,7 +528,8 @@ class Expr:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def inverse(self) -> "Expr":
         if self.is_zero:
@@ -523,12 +571,7 @@ class Expr:
         scale = _ONE
         for aid, e in self.den:
             cid = ctx._conj_atom[aid]
-            # conj of a monic atom is a scalar multiple of the registered
-            # conjugate atom; track that scalar exactly
-            A = ctx._atoms[aid]
-            cA = ctx._conj_poly(A)
-            lc = cA[cA.leading_expv()]
-            scale = scale * lc ** e
+            scale = scale * ctx._conj_scale(aid) ** e
             den[cid] = den.get(cid, 0) + e
         num = num.quo_ground(scale)
         return Expr._make(ctx, num, den)
@@ -539,19 +582,18 @@ class Expr:
         g = ctx._gens[k]
         if not self.den:
             return Expr(ctx, self.num.diff(g), ())
-        atoms = [(aid, e, ctx._atoms[aid]) for aid, e in self.den]
-        D = ctx._ring.one
-        for _, _, A in atoms:
-            D = D * A
         # d(n / prod A^e) = [n' prod A - n * sum e_i A_i' prod_{j!=i} A_j] / prod A^{e+1}
+        simple = tuple((aid, 1) for aid, _ in self.den)
         corr = ctx._ring.zero
-        for i, (_, e, A) in enumerate(atoms):
-            rest = ctx._ring.ground_new(QQ_I(e))
-            for j, (_, _, B) in enumerate(atoms):
-                if j != i:
-                    rest = rest * B
-            corr = corr + rest * A.diff(g)
-        new_num = self.num.diff(g) * D - self.num * corr
+        for i, (aid, e) in enumerate(self.den):
+            dA = ctx._atom_deriv(aid, k)
+            if not dA:
+                continue
+            t = ctx._expand(simple[:i] + simple[i + 1:]) * dA
+            corr = corr + (t if e == 1 else t.mul_ground(QQ_I(e)))
+        new_num = self.num.diff(g) * ctx._expand(simple)
+        if corr:
+            new_num = new_num - self.num * corr
         new_den = {aid: e + 1 for aid, e in self.den}
         return Expr._make(ctx, new_num, new_den)
 

@@ -56,6 +56,8 @@ def test_model_validation():
         RigidModel(ctx, (z ** 2 + zb ** 2,))
     with pytest.raises(AutCRError):                 # not real-valued
         RigidModel(ctx, (ctx.const(I) * z * zb,))
+    with pytest.raises(AutCRError, match="homogeneous"):   # two weights
+        RigidModel(ctx, (z * zb + z ** 2 * zb ** 2,))
 
 
 # ---------------------------------------------------------------------------

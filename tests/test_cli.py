@@ -166,6 +166,8 @@ CUBIC_PHIS = "phi2 = 2*x^3 + 2*x*y^2\nphi3 = 2*x^2*y + 2*y^3\n"
     ("frame", "zero.model", "phi1 = 1/0\n" + CUBIC_PHIS),
     ("autcr", "codim.model",
      "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = three\nPhi1 = z*zb\n"),
+    ("autcr", "inhomogeneous.model",
+     "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = 1\nPhi1 = z*zb + z^2*zb^2\n"),
     ("tanaka", "dim.alg", "dim = x\ngrading = -1 -1 -2\n[e1, e2] = e3\n"),
     ("tanaka", "dim0.alg", "dim = 0\ngrading =\n"),
     ("tanaka", "index.alg", "dim = 3\ngrading = -1 -1 -2\n[e7, e1] = e2\n"),

@@ -215,6 +215,13 @@ def test_ext_domain_relations(quartic_geometry):
     assert y.diff("e") == A0 - A0b * eb
     assert y.diff("a") == edom.lift(eb)
     assert y.subs({"e": ctx.zero, "eb": ctx.one}) == edom.lift(a)
+    # a float is no operand, as for Expr
+    with pytest.raises(TypeError):
+        edom.one + 1.5
+    with pytest.raises(TypeError):
+        edom.one * 0.5
+    with pytest.raises(TypeError):
+        1.5 / edom.one
 
 
 def test_branch_rneq0_invariants(quartic_geometry, quartic_report):

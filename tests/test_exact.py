@@ -270,3 +270,92 @@ def test_subs(ctx):
     assert e.subs({"x": y}) == y ** 2 + y
     f = 1 / (x + y)
     assert f.subs({"x": ctx.const(1)}) == 1 / (1 + y)
+
+
+# ---------------------------------------------------------------------------
+# per-Context caches
+# ---------------------------------------------------------------------------
+
+# atoms: x*a + i*x*ab + 1 depends on x and conjugates to -i times a registered
+# atom (a non-real scale); y^2 + 1 and x*y + 2 are a second and third atom,
+# and y^2 + 1 is free of x
+CACHE_EXPRS = ("(x^2*a + y)/((x*a + i*x*ab + 1)^2*(y^2 + 1))",
+               "(x - ab)/((x*a + i*x*ab + 1)*(x*y + 2))")
+
+CACHE_OPS = {
+    "diff": lambda e, f: e.diff("x"),
+    "conj": lambda e, f: e.conj(),
+    "add": lambda e, f: e + f,
+    "mul": lambda e, f: e * f,
+    "inverse": lambda e, f: e.inverse(),
+}
+
+
+def _cache_operands(c):
+    for atom in ("x*a + i*x*ab + 1", "y^2 + 1", "x*y + 2"):
+        parse(c, atom).inverse()      # register the atoms one by one
+    return [parse(c, s) for s in CACHE_EXPRS]
+
+
+def test_cache_atoms_cover_the_cases():
+    c = standard_context()
+    e, f = _cache_operands(c)
+    assert len(e.den) == 2 and len(f.den) == 2
+    assert any(not GaussRat._from_domain(c._conj_scale(aid)).is_real
+               for aid, _ in e.den)
+    assert any("x" not in Poly(c, c._atoms[aid]).as_expr().variables()
+               for aid, _ in e.den)
+
+
+@pytest.mark.parametrize("op", sorted(CACHE_OPS))
+def test_cache_warm_equals_cold(op):
+    warm = standard_context()
+    e, f = _cache_operands(warm)
+    for g in CACHE_OPS.values():      # fill every cache
+        g(e, f), g(f, e), g(e, e)
+    assert warm._expanded and warm._atom_derivs and warm._conj_scales
+    cold = standard_context()
+    ce, cf = _cache_operands(cold)
+    for (a, b), (ca, cb) in zip([(e, f), (f, e), (e, e)],
+                                [(ce, cf), (cf, ce), (ce, ce)]):
+        hot, fresh = CACHE_OPS[op](a, b), CACHE_OPS[op](ca, cb)
+        assert str(hot) == str(fresh)
+        assert hash(hot) == hash(fresh)
+
+
+def test_cache_diff_and_conj_by_hand():
+    c = standard_context()
+    n, A, B = (parse(c, s) for s in ("x^2*a + y", "x*a + i*x*ab + 1", "y^2 + 1"))
+    e = _cache_operands(c)[0]
+    assert e == n / (A ** 2 * B) and e.den[0][1] == 2
+    assert B.diff("x").is_zero
+    for _ in range(2):                # cold, then warm
+        assert e.denominator() == (A ** 2 * B).numerator()
+        for v in ("x", "y"):
+            dn, dA, dB = n.diff(v), A.diff(v), B.diff(v)
+            assert e.diff(v) == (dn * A * B - n * (2 * dA * B + A * dB)) / (A ** 3 * B ** 2)
+        assert e.conj() == n.conj() / (A.conj() ** 2 * B.conj())
+
+
+def test_cache_contexts_share_no_entry():
+    c1, c2 = standard_context(), standard_context()
+    e1 = parse(c1, "1/((x + 1)*(a + i*ab))")
+    e2 = parse(c2, "1/((y + 2)*(a + i*ab))")
+    assert e1.den == e2.den           # same atom ids, different atoms
+    for e in (e1, e2):
+        e.diff("x"), e.diff("y"), e.conj(), e + 1, e.denominator()
+    for name in ("_expanded", "_atom_derivs", "_conj_scales", "_consts"):
+        d1, d2 = getattr(c1, name), getattr(c2, name)
+        assert d1 is not d2
+        assert not any(v is w for v in d1.values() for w in d2.values()), name
+    assert str(e1.denominator()) == str(parse(c1, "(x + 1)*(a + i*ab)").numerator())
+    assert str(e2.denominator()) == str(parse(c2, "(y + 2)*(a + i*ab)").numerator())
+    assert e1.diff("y").is_zero and e2.diff("x").is_zero
+    assert c1.const(3).ctx is c1 and c2.const(3).ctx is c2
+
+
+def test_foreign_operand_is_a_type_error(ctx):
+    with pytest.raises(TypeError):
+        ctx.one + 1.5
+    with pytest.raises(TypeError):
+        1.5 / ctx.one
