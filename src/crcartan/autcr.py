@@ -39,8 +39,8 @@ def rigid_context(d: int = 3) -> Context:
 class RigidModel:
     """w_j - wb_j = 2i Phi_j(z, zb) with real-valued polynomial Phi_j.
 
-    Each Phi_j is O(z zb) and homogeneous in (z, zb), so that its degree is
-    the weight of w_j.
+    Each Phi_j is a polynomial in z and zb alone, O(z zb) and homogeneous, so
+    that its degree is the weight of w_j.
     """
 
     ctx: Context
@@ -52,6 +52,9 @@ class RigidModel:
         for k, phi in enumerate(self.Phi, start=1):
             if not phi.is_polynomial:
                 raise AutCRError(f"Phi{k} must be polynomial")
+            extra = phi.variables() - {"z", "zb"}
+            if extra:
+                raise AutCRError(f"Phi{k} may depend on z and zb only, not {sorted(extra)}")
             if phi.is_zero:
                 raise AutCRError(f"Phi{k} vanishes: model is Levi degenerate")
             if phi.conj() != phi:

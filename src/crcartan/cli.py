@@ -22,6 +22,9 @@ Algebra files (for the prolongation command) list structure constants:
     [e1, e3] = e4
     [e2, e3] = e5
 
+In both formats a key (a phi_j, Phi_j, codim, convention, dim, grading, J or
+bracket, with [e2, e1] the same bracket as [e1, e2]) may be set only once.
+
 Reports on stdout are bit-identical across runs for identical input (timing
 goes to stderr); `--emit machine` switches to JSON with sorted keys.
 Exit codes: 0 success, 2 parse error, 3 pipeline diagnostic.
@@ -74,6 +77,7 @@ def parse_model_file(text: str) -> ModelFile:
     rigid: dict[int, str] = {}
     codim = None
     section = "main"
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +88,8 @@ def parse_model_file(text: str) -> ModelFile:
         if "=" not in line:
             raise ParseError(f"expected 'name = value', got {line!r}", lineno)
         key, val = (s.strip() for s in line.split("=", 1))
+        _first_time(seen, f"Phi{int(key[3:])}" if re.fullmatch(r"Phi\d+", key) else key,
+                    lineno)
         if key == "convention":
             if val not in ("s12", "s13"):
                 raise ParseError(f"unknown convention {val!r}", lineno)
@@ -106,6 +112,13 @@ def parse_model_file(text: str) -> ModelFile:
             raise ParseError("rigid block must define Phi1..Phid")
         rigid_list = [rigid[j] for j in range(1, n + 1)]
     return ModelFile(convention, phis, rigid_list, text)
+
+
+def _first_time(seen: dict[str, int], key: str, lineno: int) -> None:
+    """Record that `key` is set on `lineno`; refuse a key set on an earlier line."""
+    if key in seen:
+        raise ParseError(f"{key} is already set on line {seen[key]}", lineno)
+    seen[key] = lineno
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
@@ -157,30 +170,33 @@ def parse_algebra_file(text: str):
     grading = None
     jmap = None
     brackets = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        _, sep, val = line.partition("=")
-        if line.startswith(("dim", "grading", "J")) and not sep:
-            raise ParseError(f"expected 'name = value', got {line!r}", lineno)
-        if line.startswith("dim"):
-            dim = _parse_int(val, "dim", lineno)
-            if dim < 1:
-                raise ParseError("dim must be positive", lineno)
-            continue
-        if line.startswith("grading"):
-            grading = tuple(_parse_int(t, "grading", lineno) for t in val.split())
-            if any(d >= 0 for d in grading):
-                raise ParseError("grading degrees must be negative", lineno)
-            continue
-        if line.startswith("J"):
-            jmap = val.strip()
+        key, sep, val = line.partition("=")
+        key = key.strip()
+        if key in ("dim", "grading", "J"):
+            if not sep:
+                raise ParseError(f"expected 'name = value', got {line!r}", lineno)
+            _first_time(seen, key, lineno)
+            if key == "dim":
+                dim = _parse_int(val, "dim", lineno)
+                if dim < 1:
+                    raise ParseError("dim must be positive", lineno)
+            elif key == "grading":
+                grading = tuple(_parse_int(t, "grading", lineno) for t in val.split())
+                if any(d >= 0 for d in grading):
+                    raise ParseError("grading degrees must be negative", lineno)
+            else:
+                jmap = val.strip()
             continue
         m = re.fullmatch(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*(.*)", line)
         if not m:
             raise ParseError(f"bad bracket line {line!r}", lineno)
         j, k = int(m.group(1)) - 1, int(m.group(2)) - 1
+        _first_time(seen, f"[e{min(j, k) + 1}, e{max(j, k) + 1}]", lineno)
         brackets[(j, k)] = (m.group(3).strip(), lineno)
     if dim is None:
         raise ParseError("missing 'dim ='")
@@ -281,6 +297,8 @@ def _torsion_crosscheck(ts_values: dict, sf) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_frame(mf: ModelFile, args) -> dict:
+    if args.convention:
+        mf.convention = args.convention
     g = graphing_functions(mf)
     if args.cross_check:
         geom = Geometry.build(g)
@@ -373,7 +391,6 @@ def main(argv=None) -> int:
     p_inv = sub.add_parser("invariants", parents=[checked],
                            help="run the full equivalence method")
     p_inv.add_argument("file")
-    p_inv.add_argument("--convention", choices=("s12", "s13"))
     p_inv.add_argument("--branch-force", choices=("auto", "r0", "rneq0"), default="auto")
     p_aut = sub.add_parser("autcr", parents=[common],
                            help="solve for infinitesimal automorphisms of the rigid block")
@@ -392,8 +409,6 @@ def main(argv=None) -> int:
             payload = cmd_tanaka(text, args)
         else:
             mf = parse_model_file(text)
-            if getattr(args, "convention", None):
-                mf.convention = args.convention
             if args.command == "frame":
                 payload = cmd_frame(mf, args)
             elif args.command == "invariants":

@@ -2,16 +2,20 @@
 
 A *stage* of the method is a 5x5 lower-triangular matrix F (over a
 coefficient domain) expressing the lifted coframe through the base coframe,
-theta = F theta0, together with the list of still-free group parameters.
+theta = F theta0, whose entries depend on the still-free group parameters.
 Differentiating,
 
     d theta_k = sum_p (dF/dp . F^-1)_km  dp ^ theta_m   (Maurer-Cartan part)
               + [base part, re-expressed through theta0 = F^-1 theta],
 
 and the second piece is the torsion, a 2-form in the lifted coframe whose
-coefficients are read off positionally into the named U/V/W families.  Group
-parameters are eliminated by solving essential torsion components to zero,
-exactly; each normalization feeds the next stage's matrix.
+coefficients are read off positionally into the named U/V/W families.  A
+stage's structure is the torsion of sigma, rho and zeta alone: those are the
+only rows the normalizations read, and d sigma_bar, d zeta_bar are their
+conjugates.  The prolongation (case (viii)) forms the barred equations by
+conjugation (`_conj_form`) and is the only place the Maurer-Cartan part is
+computed.  Group parameters are eliminated by solving essential torsion
+components to zero, exactly; each normalization feeds the next stage's matrix.
 
 Two coefficient domains are used: plain Exprs (branch R = 0, parameters kept
 symbolic) and the cubic extension by a formal pair (A0, A0b) subject to
@@ -332,16 +336,7 @@ class Stage:
 
     dom: object
     F: list                    # 5x5 lower-triangular, domain coefficients
-    params: tuple[str, ...]    # free group parameters (conjugates listed too)
     base_d: list               # darboux 2-forms of theta0, domain-lifted
-
-
-@dataclass
-class StageStructure:
-    """d(theta) split into Maurer-Cartan and torsion parts."""
-
-    mc: list        # mc[k][param] = row of 5 coefficients (dp ^ theta_m part)
-    torsion: list   # 5 TwoForms over the lifted basis
 
 
 def _lower_tri_inverse(dom, F):
@@ -359,56 +354,58 @@ def _lower_tri_inverse(dom, F):
     return inv
 
 
-def stage_structure(stage: Stage) -> StageStructure:
+def stage_structure(stage: Stage) -> dict[int, TwoForm]:
+    """The torsion of d sigma, d rho and d zeta, keyed by coframe index.
+
+    d sigma_bar and d zeta_bar are their conjugates (`_conj_form`); only the
+    prolongation needs them, and it also forms the Maurer-Cartan part.
+    """
+    Finv = _lower_tri_inverse(stage.dom, stage.F)
+    return {k: _torsion_row(stage, Finv, k) for k in (1, 2, 4)}
+
+
+def _torsion_row(stage: Stage, Finv, k: int) -> TwoForm:
+    """sum_l [ (d_base F_kl) ^ theta0_l + F_kl d theta0_l ] on the lifted basis."""
     dom = stage.dom
-    F = stage.F
-    Finv = _lower_tri_inverse(dom, F)
-    mc_all = []
-    torsion_all = []
-    for k in range(5):
-        # Maurer-Cartan: sum_l dF_kl/dp * Finv[l][m]
-        mc = {}
-        for p in stage.params:
-            row = [dom.zero] * 5
-            nonzero = False
-            for l in range(5):
-                dkl = F[k][l].diff(p)
-                if dkl.is_zero:
+    tf0 = TwoForm()   # over the *base* coframe indices
+    for l in range(5):
+        fkl = stage.F[k][l]
+        if not fkl.is_zero:
+            for w in range(5):
+                dw = dom.frame_apply(w, fkl)
+                if not dw.is_zero:
+                    tf0.add_term(w, l, dw)
+            for (i, j), c in stage.base_d[l].coeffs.items():
+                tf0.add_term(i, j, fkl * c)
+    # convert theta0_i ^ theta0_j to the lifted basis
+    tf = TwoForm()
+    for (i, j), cexp in tf0.coeffs.items():
+        for m in range(5):
+            fim = Finv[i][m]
+            if fim.is_zero:
+                continue
+            for m2 in range(5):
+                if m2 == m:
                     continue
-                for m in range(5):
-                    if not Finv[l][m].is_zero:
-                        row[m] = row[m] + dkl * Finv[l][m]
-                        nonzero = True
-            if nonzero and any(not v.is_zero for v in row):
-                mc[p] = row
-        # torsion: sum_l [ (d_base F_kl) ^ theta0_l + F_kl d theta0_l ]
-        tf0 = TwoForm()   # over the *base* coframe indices
-        for l in range(5):
-            fkl = F[k][l]
-            if not fkl.is_zero:
-                for w in range(5):
-                    dw = dom.frame_apply(w, fkl)
-                    if not dw.is_zero:
-                        tf0.add_term(w, l, dw)
-                for (i, j), c in stage.base_d[l].coeffs.items():
-                    tf0.add_term(i, j, fkl * c)
-        # convert theta0_i ^ theta0_j to the lifted basis
-        tf = TwoForm()
-        for (i, j), cexp in tf0.coeffs.items():
-            for m in range(5):
-                fim = Finv[i][m]
-                if fim.is_zero:
+                fjm2 = Finv[j][m2]
+                if fjm2.is_zero:
                     continue
-                for m2 in range(5):
-                    if m2 == m:
-                        continue
-                    fjm2 = Finv[j][m2]
-                    if fjm2.is_zero:
-                        continue
-                    tf.add_term(m, m2, cexp * fim * fjm2)
-        mc_all.append(mc)
-        torsion_all.append(tf)
-    return StageStructure(mc_all, torsion_all)
+                tf.add_term(m, m2, cexp * fim * fjm2)
+    return tf
+
+
+# conjugation pairing of the 7-element prolonged basis
+# (sigma_bar, sigma, rho, zeta_bar, zeta, beta_bar, beta)
+_CONJ_POS = {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5}
+BETA_BAR, BETA = 5, 6
+
+
+def _conj_form(tf: TwoForm) -> TwoForm:
+    """The conjugate 2-form: conjugated coefficients on the paired basis."""
+    out = TwoForm()
+    for (i, j), c in tf.coeffs.items():
+        out.add_term(_CONJ_POS[i], _CONJ_POS[j], c.conj())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +435,7 @@ def _positional(tf: TwoForm, zero):
     return {name: tf.get(i, j, zero) for name, (i, j) in WEDGE_DISPLAY}
 
 
-def extract_torsion(struct: StageStructure, stage: Stage, loop: str) -> TorsionSet:
+def extract_torsion(struct: dict[int, TwoForm], stage: Stage, loop: str) -> TorsionSet:
     """Read the named coefficients off d sigma, d rho, d zeta.
 
     The fixed entries of the structure equations (the rho^zeta term of
@@ -447,9 +444,9 @@ def extract_torsion(struct: StageStructure, stage: Stage, loop: str) -> TorsionS
     """
     dom = stage.dom
     zero = dom.zero
-    ds = _positional(struct.torsion[1], zero)
-    dr = _positional(struct.torsion[2], zero)
-    dz = _positional(struct.torsion[4], zero)
+    ds = _positional(struct[1], zero)
+    dr = _positional(struct[2], zero)
+    dz = _positional(struct[4], zero)
     vals = {}
     unames = ("U1", "U2", "U3", "U4", "U5", "U6", "U7")
     for nm, (pos, _) in zip(unames, WEDGE_DISPLAY):
@@ -521,7 +518,7 @@ def initial_stage(geom: Geometry) -> Stage:
     ctx = dom.ctx
     ge = GroupElement(*[ctx.var(p) for p in ("a", "b", "c", "d", "e")],
                       *[ctx.var(p) for p in ("ab", "bb", "cb", "db", "eb")])
-    return Stage(dom, ge.lift_matrix(ctx.zero), PARAMS, _lift_base_d(dom, geom.base_d))
+    return Stage(dom, ge.lift_matrix(ctx.zero), _lift_base_d(dom, geom.base_d))
 
 
 def initial_torsion(geom: Geometry) -> TorsionSet:
@@ -612,7 +609,7 @@ def branch_R0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
 
     stage1 = ts.stage
     F2 = _subs_matrix(dom, stage1.F, sub_bcd)
-    stage2 = Stage(dom, F2, ("a", "ab", "e", "eb"), stage1.base_d)
+    stage2 = Stage(dom, F2, stage1.base_d)
     ts2 = extract_torsion(stage_structure(stage2), stage2, "prime")
     rep.torsions["prime"] = ts2.values
     rep.check("U5' == 0", ts2["U5"].is_zero)
@@ -625,7 +622,7 @@ def branch_R0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
     rep.normalizations.update(sub_e)
 
     F3 = _subs_matrix(dom, F2, sub_e)
-    stage3 = Stage(dom, F3, ("a", "ab"), stage1.base_d)
+    stage3 = Stage(dom, F3, stage1.base_d)
     struct3 = stage_structure(stage3)
     ts3 = extract_torsion(struct3, stage3, "doubleprime")
     rep.torsions["doubleprime"] = ts3.values
@@ -714,12 +711,6 @@ def branch_R0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
     return rep
 
 
-# conjugation pairing of the 7-element prolonged basis
-# (sigma_bar, sigma, rho, zeta_bar, zeta, beta_bar, beta)
-_CONJ_POS = {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5}
-BETA_BAR, BETA = 5, 6
-
-
 def _absorption(t) -> dict:
     """Coefficients cbeta[m] of theta_m in beta = da/a + sum_m cbeta[m] theta_m.
 
@@ -729,7 +720,7 @@ def _absorption(t) -> dict:
             4: t["W10"].conj() - t["V8"], 3: -t["W10"]}
 
 
-def _prolongation(stage3: Stage, struct3: StageStructure, ts3: TorsionSet,
+def _prolongation(stage3: Stage, struct3: dict[int, TwoForm], ts3: TorsionSet,
                   rep: InvariantReport) -> dict:
     """Absorb the leftover torsion into beta and differentiate it.
 
@@ -744,42 +735,50 @@ def _prolongation(stage3: Stage, struct3: StageStructure, ts3: TorsionSet,
     a, ab = ctx.var("a"), ctx.var("ab")
     cbeta = _absorption(ts3)
     cbeta_bar = {_CONJ_POS[m]: v.conj() for m, v in cbeta.items()}
+    # dp = p (beta_p - sum_q cof_p[q] theta_q) for the two remaining parameters
+    dps = {"a": (a, BETA, cbeta), "ab": (ab, BETA_BAR, cbeta_bar)}
 
-    def d_param_sub(tf: TwoForm, row, par_val, beta_idx, cof):
-        # add row[m] * dp ^ theta_m with dp = par_val (beta_idx - sum cof[q] theta_q)
-        for m, coeff in enumerate(row):
-            if coeff.is_zero:
-                continue
-            c = coeff * par_val
-            tf.add_term(beta_idx, m, c)
-            for q, cq in cof.items():
-                tf.add_term(q, m, -(c * cq))
+    def add_dp(tf: TwoForm, p: str, m: int, coeff):
+        # coeff dp ^ theta_m
+        par, bidx, cof = dps[p]
+        c = coeff * par
+        tf.add_term(bidx, m, c)
+        for q, cq in cof.items():
+            tf.add_term(q, m, -(c * cq))
 
-    # structure equations of the five lifted forms over the 7-element basis
-    dtheta = []
-    for k in range(5):
-        tf = TwoForm(dict(struct3.torsion[k].coeffs))
-        mc = struct3.mc[k]
-        if "a" in mc:
-            d_param_sub(tf, mc["a"], a, BETA, cbeta)
-        if "ab" in mc:
-            d_param_sub(tf, mc["ab"], ab, BETA_BAR, cbeta_bar)
-        dtheta.append(tf)
+    # structure equations of the five lifted forms over the 7-element basis:
+    # torsion plus the Maurer-Cartan part sum_l dF_kl/dp Finv_lm dp ^ theta_m;
+    # those of sigma_bar and zeta_bar are the conjugates of those of sigma, zeta
+    F = stage3.F
+    Finv = _lower_tri_inverse(dom, F)
+    dtheta = [None] * 5
+    for k, torsion in struct3.items():
+        tf = TwoForm(torsion.coeffs)
+        for p in dps:
+            row = [dom.zero] * 5
+            for l in range(5):
+                dkl = F[k][l].diff(p)
+                if dkl.is_zero:
+                    continue
+                for m in range(5):
+                    if not Finv[l][m].is_zero:
+                        row[m] = row[m] + dkl * Finv[l][m]
+            for m, coeff in enumerate(row):
+                if not coeff.is_zero:
+                    add_dp(tf, p, m, coeff)
+        dtheta[k] = tf
+    dtheta[0] = _conj_form(dtheta[1])
+    dtheta[3] = _conj_form(dtheta[4])
 
-    Finv = _lower_tri_inverse(dom, stage3.F)
     dbeta = TwoForm()
     for q, coeff in cbeta.items():
         if coeff.is_zero:
             continue
         # d(coeff) ^ theta_q
-        for p, par, bidx, cof in (("a", a, BETA, cbeta), ("ab", ab, BETA_BAR, cbeta_bar)):
+        for p in dps:
             dc = coeff.diff(p)
-            if dc.is_zero:
-                continue
-            c = dc * par
-            dbeta.add_term(bidx, q, c)
-            for qq, cq in cof.items():
-                dbeta.add_term(qq, q, -(c * cq))
+            if not dc.is_zero:
+                add_dp(dbeta, p, q, dc)
         for w in range(5):
             dw = dom.frame_apply(w, coeff)
             if dw.is_zero:
@@ -795,10 +794,7 @@ def _prolongation(stage3: Stage, struct3: StageStructure, ts3: TorsionSet,
     allowed = {(1, 4), (0, 4), (2, 4), (3, 4)}
     rep.check("d beta has only the four admissible wedge terms",
               set(dbeta.coeffs) <= allowed)
-    dbeta_bar = TwoForm()
-    for (i2, j2), c2 in dbeta.coeffs.items():
-        dbeta_bar.add_term(_CONJ_POS[i2], _CONJ_POS[j2], c2.conj())
-    rep.structure_equations = dtheta + [dbeta_bar, dbeta]
+    rep.structure_equations = dtheta + [_conj_form(dbeta), dbeta]
     zero = dom.zero
     return {
         "T1": dbeta.get(1, 4, zero),
@@ -830,7 +826,7 @@ def branch_Rneq0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
     F2 = [[_ext_subs_a(edom, v) for v in row]
           for row in _subs_matrix(stage1.dom, stage1.F, sub_bcd)]
     base_d = _lift_base_d(edom, geom.base_d)
-    stage2 = Stage(edom, F2, ("e", "eb"), base_d)
+    stage2 = Stage(edom, F2, base_d)
     ts2 = extract_torsion(stage_structure(stage2), stage2, "new")
     rep.torsions["new"] = ts2.values
 
@@ -843,7 +839,7 @@ def branch_Rneq0(ts: TorsionSet, geom: Geometry) -> InvariantReport:
            + v.diff("e") * e_val
            + v.diff("eb") * e_val.conj()
            for v in row] for row in F2]
-    stage3 = Stage(edom, F3, (), base_d)
+    stage3 = Stage(edom, F3, base_d)
     ts3 = extract_torsion(stage_structure(stage3), stage3, "final")
     rep.torsions["final"] = ts3.values
 

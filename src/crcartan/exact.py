@@ -3,7 +3,7 @@
 Everything downstream (frames, coframes, the normalization loops) runs on the
 `Expr` type defined here: an exact rational function in a fixed alphabet of
 variables, with a conjugation that fixes the real base coordinates and swaps
-paired variables (a <-> ab, A0 <-> A0b, ...).  No floating point is used
+paired variables (a <-> ab, b <-> bb, ...).  No floating point is used
 anywhere; zero tests are exact, which is what drives the branching logic of
 the equivalence method.
 
@@ -181,12 +181,10 @@ def _dom_conj(c):
 # Variable context
 # ---------------------------------------------------------------------------
 
-#: standard alphabet: base coordinates, ambiguity-group parameters, and the
-#: formal cube-root symbols used by the R != 0 branch.
+#: standard alphabet: base coordinates and ambiguity-group parameters
 STANDARD_PAIRS = (
     ("x", "x"), ("y", "y"), ("u1", "u1"), ("u2", "u2"), ("u3", "u3"),
     ("a", "ab"), ("b", "bb"), ("c", "cb"), ("d", "db"), ("e", "eb"),
-    ("A0", "A0b"),
 )
 
 
@@ -902,5 +900,5 @@ def parse(ctx: Context, text: str) -> Expr:
 
 
 def standard_context() -> Context:
-    """Fresh context with the standard alphabet (base, group, formal A0)."""
+    """Fresh context with the standard alphabet (base coordinates, group)."""
     return Context(STANDARD_PAIRS)

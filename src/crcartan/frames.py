@@ -52,6 +52,10 @@ class GraphingFunctions:
         for k, phi in enumerate(self.phis, start=1):
             if not phi.is_polynomial:
                 raise FrameError(f"phi{k} must be a polynomial")
+            extra = phi.variables() - set(BASE_VARS)
+            if extra:
+                raise FrameError(f"phi{k} may depend on {', '.join(BASE_VARS)} only, "
+                                 f"not {sorted(extra)}")
             if not phi.is_real:
                 raise FrameError(f"phi{k} must have real coefficients")
             if not phi.evaluate(origin).is_zero:

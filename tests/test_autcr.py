@@ -58,6 +58,9 @@ def test_model_validation():
         RigidModel(ctx, (ctx.const(I) * z * zb,))
     with pytest.raises(AutCRError, match="homogeneous"):   # two weights
         RigidModel(ctx, (z * zb + z ** 2 * zb ** 2,))
+    w1, wb1 = ctx.vars("w1", "wb1")
+    with pytest.raises(AutCRError, match="z and zb only"):  # depends on w
+        RigidModel(ctx, (z * zb * (w1 + wb1),))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,25 @@ CUBIC_PHIS = "phi2 = 2*x^3 + 2*x*y^2\nphi3 = 2*x^2*y + 2*y^3\n"
     ("tanaka", "grading.alg", "dim = 2\ngrading = 1 1\n"),
     ("tanaka", "j.alg", "dim = 3\ngrading = -1 -1 -2\nJ = e1 -> e3\n"),
     ("tanaka", "const.alg", "dim = 3\ngrading = -1 -1 -2\n[e1, e2] = e3 + 1\n"),
+    ("autcr", "w.model",
+     "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = 1\nPhi1 = z*zb*(w1 + wb1)\n"),
+    ("invariants", "group.model", "phi1 = x^2 + y^2 + a*ab*x^4\n" + CUBIC_PHIS),
+    ("frame", "cuberoot.model", "phi1 = x^2 + y^2 + A0*A0b*x^4\n" + CUBIC_PHIS),
+    ("frame", "phi1twice.model", "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "phi1 = x^2\n"),
+    ("frame", "convtwice.model",
+     "convention = s12\nconvention = s13\nphi1 = x^2 + y^2\n" + CUBIC_PHIS),
+    ("autcr", "codimtwice.model",
+     "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = 1\ncodim = 1\nPhi1 = z*zb\n"),
+    ("autcr", "Phitwice.model",
+     "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\nPhi1 = z*zb\nPhi1 = 2*z*zb\n"),
+    ("tanaka", "bracket.alg", "dim = 3\ngrading = -1 -1 -2\n[e1, e2] = e3\n[e1, e2] = 0\n"),
+    ("tanaka", "swapped.alg", "dim = 3\ngrading = -1 -1 -2\n[e1, e2] = e3\n[e2, e1] = -e3\n"),
+    ("tanaka", "dimtwice.alg", "dim = 3\ndim = 3\ngrading = -1 -1 -2\n[e1, e2] = e3\n"),
+    ("tanaka", "gradingtwice.alg",
+     "dim = 3\ngrading = -1 -1 -2\ngrading = -1 -1 -2\n[e1, e2] = e3\n"),
+    ("tanaka", "jtwice.alg", "dim = 3\ngrading = -1 -1 -2\nJ = e1 -> e2, e2 -> -e1\n"
+                             "J = e1 -> e2, e2 -> -e1\n[e1, e2] = e3\n"),
+    ("tanaka", "prefix.alg", "dimension = 3\ngrading = -1 -1 -2\n[e1, e2] = e3\n"),
 ])
 def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
     path = tmp_path / name

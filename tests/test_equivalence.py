@@ -8,7 +8,8 @@ from crcartan.crosscheck import (compare, first_loop_reference,
                                  normalization_reference, rneq0_reference,
                                  second_loop_reference)
 from crcartan.equivalence import (EquivalenceError, ExtDomain, Geometry,
-                                  GroupElement, _lower_tri_inverse, branch_R0,
+                                  GroupElement, Stage, _conj_form, _ext_subs_a,
+                                  _lower_tri_inverse, _torsion_row, branch_R0,
                                   branch_Rneq0, first_loop, initial_stage,
                                   initial_torsion, is_ambiguity_shape, run_method)
 from crcartan.exact import GaussRat, I, standard_context
@@ -88,6 +89,31 @@ def test_initial_torsion_crosscheck_full(quartic_geometry):
     ts = initial_torsion(quartic_geometry)
     verdicts = compare(ts.values, first_loop_reference(quartic_geometry.sf))
     assert all(ok for _, ok in verdicts), [nm for nm, ok in verdicts if not ok]
+
+
+def _quartic_stage_after_a_is_A0(geom):
+    """The R != 0 branch's stage with c, b, d normalized and a := A0."""
+    ts = initial_torsion(geom)
+    sub = first_loop(ts)
+    edom = ExtDomain(geom.frame, geom.sf.R)
+    F = [[_ext_subs_a(edom, v.subs(sub)) for v in row] for row in ts.stage.F]
+    return Stage(edom, F, [d.map(edom.lift) for d in geom.base_d])
+
+
+def test_barred_structure_equations_are_conjugates(r_zero_geometry, quartic_geometry):
+    # d sigma_bar and d zeta_bar, worked out directly, are the conjugates of
+    # d sigma and d zeta, on a plain stage and on an extension stage; `==`
+    # and not `str`, since equal coefficients may print differently
+    for stage in (initial_stage(r_zero_geometry),
+                  _quartic_stage_after_a_is_A0(quartic_geometry)):
+        Finv = _lower_tri_inverse(stage.dom, stage.F)
+        for barred, k in ((0, 1), (3, 4)):
+            direct = _torsion_row(stage, Finv, barred)
+            conj = _conj_form(_torsion_row(stage, Finv, k))
+            assert direct.coeffs, barred
+            assert set(direct.coeffs) == set(conj.coeffs), barred
+            for ij, c in direct.coeffs.items():
+                assert c == conj.coeffs[ij], (barred, ij)
 
 
 # ---------------------------------------------------------------------------
