@@ -23,7 +23,11 @@ from .liealg import GradedAlgebra, LieAlgebra, nullspace, span_coordinates
 
 
 class AutCRError(Exception):
-    pass
+    """An automorphism computation fails; `phi` is the j of the Phi_j at fault, if any."""
+
+    def __init__(self, msg, phi: int | None = None):
+        super().__init__(msg)
+        self.phi = phi
 
 
 def rigid_context(d: int = 3) -> Context:
@@ -51,20 +55,21 @@ class RigidModel:
         izb = self.ctx.names.index("zb")
         for k, phi in enumerate(self.Phi, start=1):
             if not phi.is_polynomial:
-                raise AutCRError(f"Phi{k} must be polynomial")
+                raise AutCRError(f"Phi{k} must be polynomial", k)
             extra = phi.variables() - {"z", "zb"}
             if extra:
-                raise AutCRError(f"Phi{k} may depend on z and zb only, not {sorted(extra)}")
+                raise AutCRError(f"Phi{k} may depend on z and zb only, not {sorted(extra)}",
+                                 k)
             if phi.is_zero:
-                raise AutCRError(f"Phi{k} vanishes: model is Levi degenerate")
+                raise AutCRError(f"Phi{k} vanishes: model is Levi degenerate", k)
             if phi.conj() != phi:
-                raise AutCRError(f"Phi{k} is not real-valued")
+                raise AutCRError(f"Phi{k} is not real-valued", k)
             monoms = phi.numerator().terms()
             for m in monoms:
                 if not (m[iz] and m[izb]):
-                    raise AutCRError(f"Phi{k} is not O(z zb)")
+                    raise AutCRError(f"Phi{k} is not O(z zb)", k)
             if len({m[iz] + m[izb] for m in monoms}) > 1:
-                raise AutCRError(f"Phi{k} is not homogeneous in (z, zb)")
+                raise AutCRError(f"Phi{k} is not homogeneous in (z, zb)", k)
 
     @property
     def codim(self) -> int:

@@ -62,8 +62,8 @@ class ParseError(Exception):
 class ModelFile:
     def __init__(self, convention, phis, rigid_phis, text):
         self.convention = convention
-        self.phis = phis                # dict name -> string
-        self.rigid_phis = rigid_phis    # list of strings or None
+        self.phis = phis                # dict name -> (text, line)
+        self.rigid_phis = rigid_phis    # list of (text, line), or None
         self.text = text
 
     @property
@@ -147,7 +147,7 @@ def graphing_functions(mf: ModelFile) -> GraphingFunctions:
             _parse_poly(ctx, mf.phis["phi3"], "phi3"),
         )
     except FrameError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), exc.phi and mf.phis[f"phi{exc.phi}"][1]) from None
 
 
 def rigid_model(mf: ModelFile) -> RigidModel:
@@ -158,7 +158,7 @@ def rigid_model(mf: ModelFile) -> RigidModel:
         return RigidModel(ctx, tuple(
             _parse_poly(ctx, s, f"Phi{j+1}") for j, s in enumerate(mf.rigid_phis)))
     except AutCRError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), exc.phi and mf.rigid_phis[exc.phi - 1][1]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,39 @@ polynomials (plus monomials in the group parameters), so trial division
 recovers the reduced fraction without ever running a multivariate gcd over
 Q(i), which is prohibitively slow.
 
+Reduction rule.  Every quotient comes from exact division: long division by
+a polynomial atom, or an exponent shift by a monomial atom.  Atoms are monic
+(leading coefficient 1 in graded-lex order).  Before that division, cheap
+tests that can only answer "not divisible", and only when that is proven,
+skip it:
+  * leading monomials: lm(A * q) = lm(A) * lm(q), so A cannot divide f
+    unless lm(A) divides lm(f);
+  * monomial atoms (`a`, `a*ab^2`): f // A shifts every exponent of f, and
+    fails unless every term of f is a multiple of A;
+  * the modular certificate (the homomorphic-image test of Geddes, Czapor
+    and Labahn, *Algorithms for Computer Algebra*, 1992): map f and a
+    polynomial atom A to F_P[s], P = 998244353 = 1 (mod 4), by i -> a fixed
+    square root of -1 mod P, x_v -> s for one variable v of lm(A), and
+    every other variable to a fixed small integer.  If A divides f, then
+    f = A * q with q's coefficient denominators made only of those of f and
+    A (A is monic), so when none of them is divisible by P the map is a ring
+    homomorphism on f, A and q, and the image of A divides the image of f.
+    An image of A that does not divide the image of f therefore proves that
+    A does not divide f.  The test is skipped when a denominator is 0 mod P
+    or A's image is constant or zero.  It never answers "divisible", so no
+    zero test becomes probabilistic.
+  * zero and unit operands: x + 0 is x and x * 0 is zero without a
+    reduction, and a reduced fraction times a nonzero constant stays
+    reduced, so only its numerator is scaled.
+Each shortcut returns exactly what the reduction it skips would return,
+term order included.
+
 Each Context caches work whose inputs never change once an atom is
 registered, so the normalization chain does not redo it:
   * `_expand(den)`: the product prod(atom^e) per denominator tuple;
   * `_atom_deriv(aid, k)`: the derivative of an atom in variable k;
   * `_conj_scale(aid)`: the scalar s with conj(atom) = s * conjugate atom;
+  * `_atom_image(aid, v)`: an atom's certificate image in variable v;
   * `const(value)`: the constant Expr per value.
 The keys are atom ids, denominator tuples or constant values, and atoms are
 never changed after registration, so an entry stays valid for the life of
@@ -37,6 +65,7 @@ polynomials over QQ_I).  Other modules work through `Expr`'s methods
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping
 
 from sympy.polys.domains import QQ_I
@@ -220,6 +249,11 @@ class Context:
         self._expanded: dict[tuple, object] = {}             # den -> product
         self._atom_derivs: dict[tuple[int, int], object] = {}  # (aid, var)
         self._conj_scales: dict[int, object] = {}            # aid -> scalar
+        self._atom_images: dict[tuple[int, int], list] = {}  # (aid, var)
+        # certificate points: variable v stays free, variable k -> k + 2
+        n = len(names)
+        self._points = tuple(tuple(1 if k == v else k + 2 for k in range(n))
+                             for v in range(n))
         self._consts: dict[object, Expr] = {}                # value -> Expr
         self.zero = Expr(self, self._ring.zero, ())
         self.one = Expr(self, self._ring.one, ())
@@ -263,15 +297,34 @@ class Context:
             out[tuple(m2)] = _dom_conj(coeff)
         return self._ring.from_dict(out)
 
-    def _exact_div(self, f, g):
-        """f // g when the division is exact, else None (fast early abort)."""
-        r = self._ring
-        if not g:
-            raise ZeroDivisionError("polynomial division by zero")
+    def _exact_div(self, f, aid: int, images: dict):
+        """f // atom aid when the division is exact, else None.
+
+        `images` holds f's certificate images by variable; the caller owns it
+        and empties it whenever f changes.  Cheap exact refutations run
+        first, and every quotient comes from `_shift` or `_long_div`.
+        """
         if not f:
-            return r.zero
+            return f
+        A = self._atoms[aid]
+        lm = A.leading_expv()
+        if self._ring.monomial_div(f.leading_expv(), lm) is None:
+            return None                 # lm(A * q) = lm(A) * lm(q)
+        if len(A) == 1:
+            return self._shift(f, lm)
+        v = lm.index(max(lm))
+        g = self._atom_image(aid, v)
+        if g is not None:
+            if v not in images:
+                images[v] = _image(f, self._points[v], v)
+            if images[v] is not None and not _divides_mod_p(g, images[v]):
+                return None
+        return self._long_div(f, A)
+
+    def _long_div(self, f, g):
+        """f // g for a monic g when the division is exact, else None."""
+        r = self._ring
         lm_g = g.leading_expv()
-        lc_g = g[lm_g]
         mdiv = r.monomial_div
         quo = {}
         rem = f
@@ -280,10 +333,38 @@ class Context:
             m = mdiv(lm_r, lm_g)
             if m is None:
                 return None
-            c = rem[lm_r] / lc_g
+            c = rem[lm_r]
             quo[m] = c
             rem = rem - g.mul_term((m, c))
         return r.from_dict(quo)
+
+    def _shift(self, f, mono):
+        """f // mono for a monomial mono when every term of f is a multiple."""
+        mdiv = self._ring.monomial_div
+        quo = {}
+        for m, c in sorted(f.iterterms(), key=lambda t: grlex(t[0]), reverse=True):
+            q = mdiv(m, mono)
+            if q is None:
+                return None
+            quo[q] = c
+        return self._ring.from_dict(quo)
+
+    def _atom_image(self, aid: int, v: int):
+        """The certificate image of atom aid in variable v, made monic.
+
+        None when the image is constant (or zero) or a coefficient has no
+        image: then the certificate cannot refute a division by the atom.
+        """
+        key = (aid, v)
+        if key not in self._atom_images:
+            g = _image(self._atoms[aid], self._points[v], v)
+            if g is not None and len(g) > 1:
+                inv = pow(g[-1], -1, _P)
+                g = [c * inv % _P for c in g]
+            else:
+                g = None
+            self._atom_images[key] = g
+        return self._atom_images[key]
 
     def _register(self, p):
         """Split the nonzero polynomial p as scalar * prod(atom^e).
@@ -293,13 +374,14 @@ class Context:
         conjugation of fractions never triggers a new registration).
         """
         factors: dict[int, int] = {}
+        images: dict = {}
         for aid in range(len(self._atoms)):
-            A = self._atoms[aid]
             while True:
-                q = self._exact_div(p, A)
+                q = self._exact_div(p, aid, images)
                 if q is None:
                     break
                 p = q
+                images.clear()
                 factors[aid] = factors.get(aid, 0) + 1
             if p.is_ground:
                 break
@@ -357,6 +439,53 @@ class Context:
             cA = self._conj_poly(self._atoms[aid])
             s = self._conj_scales[aid] = cA[cA.leading_expv()]
         return s
+
+
+# ---------------------------------------------------------------------------
+# Non-divisibility certificate
+# ---------------------------------------------------------------------------
+
+#: the certificate's prime, P = 1 (mod 4), and the image of i: a square root
+#: of -1 modulo P
+_P = 998244353
+_I_MOD_P = 911660635
+
+
+def _image(p, point, v):
+    """p in F_P[s] under x_v -> s, x_k -> point[k] (k != v), i -> _I_MOD_P.
+
+    A dense coefficient list, low degree first, without trailing zeros; None
+    if some coefficient has a denominator divisible by P.  point[v] is 1.
+    """
+    img: dict[int, int] = {}
+    try:
+        for m, c in p.iterterms():
+            re, im = c.x, c.y
+            w = (re.numerator * pow(re.denominator, -1, _P)
+                 + im.numerator * pow(im.denominator, -1, _P) * _I_MOD_P)
+            d = m[v]
+            img[d] = img.get(d, 0) + w * prod(map(pow, point, m))
+    except ValueError:                  # a denominator is 0 mod P
+        return None
+    out = [0] * (max(img) + 1 if img else 0)
+    for d, c in img.items():
+        out[d] = c % _P
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divides_mod_p(g, f) -> bool:
+    """Whether the monic g (degree >= 1) divides f in F_P[s]."""
+    r = list(f)
+    n = len(g) - 1
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top]
+        if c:
+            base = top - n
+            for j in range(n):
+                r[base + j] = (r[base + j] - c * g[j]) % _P
+    return not any(r[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +563,14 @@ class Expr:
     def _reduce(ctx: Context, num, den: dict):
         if not num:
             return num, {}
+        images: dict = {}
         for aid in list(den):
-            A = ctx._atoms[aid]
             while den.get(aid, 0) > 0:
-                q = ctx._exact_div(num, A)
+                q = ctx._exact_div(num, aid, images)
                 if q is None:
                     break
                 num = q
+                images.clear()
                 den[aid] -= 1
                 if not den[aid]:
                     del den[aid]
@@ -479,6 +609,10 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
         ctx = self.ctx
         d1, d2 = dict(self.den), dict(o.den)
         lcm = dict(d1)
@@ -509,6 +643,13 @@ class Expr:
         if o is None:
             return NotImplemented
         ctx = self.ctx
+        if not self.num or not o.num:
+            return ctx.zero
+        # a reduced fraction times a unit stays reduced
+        if not o.den and o.num.is_ground:
+            return Expr(ctx, self.num.mul_ground(o.num.LC), self.den)
+        if not self.den and self.num.is_ground:
+            return Expr(ctx, o.num.mul_ground(self.num.LC), o.den)
         # cross-reduce before multiplying: keeps numerators small
         n1, d2 = Expr._reduce(ctx, self.num, dict(o.den))
         n2, d1 = Expr._reduce(ctx, o.num, dict(self.den))

@@ -31,7 +31,11 @@ _T_SCALE = {"s12": 1, "s13": 2}
 
 
 class FrameError(Exception):
-    pass
+    """A frame cannot be built; `phi` is the k of the phi_k at fault, if any."""
+
+    def __init__(self, msg, phi: int | None = None):
+        super().__init__(msg)
+        self.phi = phi
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +55,18 @@ class GraphingFunctions:
         origin = {n: GaussRat(0) for n in self.ctx.names}
         for k, phi in enumerate(self.phis, start=1):
             if not phi.is_polynomial:
-                raise FrameError(f"phi{k} must be a polynomial")
+                raise FrameError(f"phi{k} must be a polynomial", k)
             extra = phi.variables() - set(BASE_VARS)
             if extra:
                 raise FrameError(f"phi{k} may depend on {', '.join(BASE_VARS)} only, "
-                                 f"not {sorted(extra)}")
+                                 f"not {sorted(extra)}", k)
             if not phi.is_real:
-                raise FrameError(f"phi{k} must have real coefficients")
+                raise FrameError(f"phi{k} must have real coefficients", k)
             if not phi.evaluate(origin).is_zero:
-                raise FrameError(f"phi{k}(0) != 0")
+                raise FrameError(f"phi{k}(0) != 0", k)
             for v in BASE_VARS:
                 if not phi.diff(v).evaluate(origin).is_zero:
-                    raise FrameError(f"d phi{k}/d{v} (0) != 0")
+                    raise FrameError(f"d phi{k}/d{v} (0) != 0", k)
 
     @property
     def phis(self) -> tuple[Expr, Expr, Expr]:

@@ -8,7 +8,10 @@ A stdlib-`ast` check over every other module of the package.  Outside
   as `__init__` are the language's protocol, not a module's private state);
 - the coefficient domains `ExprDomain` and `ExtDomain` define none of the
   pass-throughs `is_zero`, `conj`, `param_diff` or `subs_params`: their
-  elements answer those themselves.
+  elements answer those themselves;
+- no name of the reduction kernel (trial division, the non-divisibility
+  certificate's constants, functions and cache) appears at all: not read,
+  imported, defined, nor used on `self`.
 """
 
 import ast
@@ -21,6 +24,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "crcartan"
 RING_ATTRS = {"num", "den", "from_domain", "to_domain"}
 DOMAINS = {"ExprDomain", "ExtDomain"}
 PASS_THROUGHS = {"is_zero", "conj", "param_diff", "subs_params"}
+KERNEL_NAMES = {"_exact_div", "_long_div", "_shift", "_reduce", "_register",
+                "_P", "_I_MOD_P", "_image", "_divides_mod_p", "_atom_image",
+                "_atom_images", "_points"}
 
 
 def boundary_violations(source: str) -> list[str]:
@@ -32,11 +38,17 @@ def boundary_violations(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom):
             if (node.module or "").split(".")[0] == "sympy":
                 out.append(f"imports {node.module} (line {node.lineno})")
+            out += [f"imports {a.name} (line {node.lineno})" for a in node.names
+                    if a.name in KERNEL_NAMES]
+        elif isinstance(node, ast.Name) and node.id in KERNEL_NAMES:
+            out.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in KERNEL_NAMES:
+            out.append(f"defines {node.name} (line {node.lineno})")
         elif isinstance(node, ast.Attribute):
             attr = node.attr
             on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
             dunder = attr.startswith("__") and attr.endswith("__")
-            if attr in RING_ATTRS:
+            if attr in RING_ATTRS or attr in KERNEL_NAMES:
                 out.append(f".{attr} (line {node.lineno})")
             elif attr.startswith("_") and not dunder and not on_self:
                 out.append(f".{attr} (line {node.lineno})")
@@ -54,6 +66,16 @@ def test_checker_finds_each_kind_of_violation():
     assert boundary_violations(source) == [
         "._index (line 4)", ".num (line 4)", "ExtDomain.conj (line 8)",
         "imports sympy (line 1)", "imports sympy.polys (line 2)"]
+
+
+def test_checker_finds_each_kernel_name():
+    source = ("from .exact import _P, parse\n"
+              "def _shift(m):\n    return m\n"
+              "class Ring:\n    def f(self, e):\n"
+              "        return self._reduce(e), _image, self._atom_images\n")
+    assert boundary_violations(source) == [
+        "._atom_images (line 6)", "._reduce (line 6)", "_image (line 6)",
+        "defines _shift (line 2)", "imports _P (line 1)"]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "exact.py"),

@@ -204,6 +204,20 @@ def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("invariants", "convention = s12\nphi1 = x^2 + y^2 + a*ab*x^4\n" + CUBIC_PHIS,
+     "parse error: line 2: phi1 may depend on x, y, u1, u2, u3 only, not ['a', 'ab']"),
+    ("autcr", "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = 1\n\n"
+              "Phi1 = z*zb + z^2*zb^2\n",
+     "parse error: line 7: Phi1 is not homogeneous in (z, zb)"),
+])
+def test_model_check_names_its_line(tmp_path, command, text, message):
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    rc, out, err = run_main(command, str(path))
+    assert (rc, out, err) == (2, "", message + "\n")
+
+
 def test_closed_stdout_keeps_exit_contract():
     """A reader that closes the pipe before the report is written."""
     r, w = os.pipe()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crcartan import exact
 from crcartan.exact import (
     Context, Expr, GaussRat, I, Poly, conj, diff, normalize, parse, render,
     standard_context,
@@ -314,6 +315,7 @@ def test_cache_warm_equals_cold(op):
     for g in CACHE_OPS.values():      # fill every cache
         g(e, f), g(f, e), g(e, e)
     assert warm._expanded and warm._atom_derivs and warm._conj_scales
+    assert warm._atom_images
     cold = standard_context()
     ce, cf = _cache_operands(cold)
     for (a, b), (ca, cb) in zip([(e, f), (f, e), (e, e)],
@@ -344,7 +346,8 @@ def test_cache_contexts_share_no_entry():
     assert e1.den == e2.den           # same atom ids, different atoms
     for e in (e1, e2):
         e.diff("x"), e.diff("y"), e.conj(), e + 1, e.denominator()
-    for name in ("_expanded", "_atom_derivs", "_conj_scales", "_consts"):
+    for name in ("_expanded", "_atom_derivs", "_conj_scales", "_consts",
+                 "_atom_images"):
         d1, d2 = getattr(c1, name), getattr(c2, name)
         assert d1 is not d2
         assert not any(v is w for v in d1.values() for w in d2.values()), name
@@ -359,3 +362,131 @@ def test_foreign_operand_is_a_type_error(ctx):
         ctx.one + 1.5
     with pytest.raises(TypeError):
         1.5 / ctx.one
+
+
+# ---------------------------------------------------------------------------
+# reduction against plain trial division
+# ---------------------------------------------------------------------------
+
+def _trial_div(ring, f, g):
+    """f // g when the division is exact, else None: long division alone."""
+    if not f:
+        return ring.zero
+    lm_g = g.leading_expv()
+    lc_g = g[lm_g]
+    quo, rem = {}, f
+    while rem:
+        lm_r = rem.leading_expv()
+        m = ring.monomial_div(lm_r, lm_g)
+        if m is None:
+            return None
+        c = rem[lm_r] / lc_g
+        quo[m] = c
+        rem = rem - g.mul_term((m, c))
+    return ring.from_dict(quo)
+
+
+def _trial_reduce(c, num, den):
+    """What `Expr._reduce` returns, by `_trial_div` against each atom."""
+    if not num:
+        return num, {}
+    for aid in list(den):
+        while den.get(aid, 0) > 0:
+            q = _trial_div(c._ring, num, c._atoms[aid])
+            if q is None:
+                break
+            num = q
+            den[aid] -= 1
+            if not den[aid]:
+                del den[aid]
+    return num, den
+
+
+def _reduction_atoms(c):
+    """Monic atoms for every path of the reduction, registered in this order.
+
+    Three monomial atoms; two atoms whose certificate image is constant or
+    zero (x is the free variable of `x*y`, and y goes to c._points[0][1]);
+    an atom with a coefficient of denominator P; four general atoms.
+    """
+    p, P = c._points[0][1], exact._P
+    texts = ["a*ab^2", "x*y^2", "a", f"x*y - {p}*x + y^2", f"x*y - {p}*x",
+             f"x + y/{P}", "x^2 + y^2 - 2", "x*a + i*x*ab + 1", "y*ab - a + 3",
+             "u1^2 - x"]
+    atoms = [parse(c, t) for t in texts]
+    for atom in atoms:
+        atom.inverse()
+    return atoms
+
+
+def _sparse_poly(c, rng, P):
+    """1-3 terms in x, y, u1, a, ab; some coefficients have denominator P."""
+    e = c.zero
+    for _ in range(rng.randint(1, 3)):
+        co = GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+        if co.is_zero:
+            co = GaussRat(1)
+        if rng.random() < 0.2:
+            co = co / P
+        t = c.const(co)
+        for v in _VARS:
+            t = t * c.var(v) ** rng.choice((0, 0, 1, 2))
+        e = e + t
+    return e
+
+
+def _reduction_case(seed, c=None):
+    """A context, a numerator with true atom factors, and a denominator."""
+    c = c or standard_context()
+    rng = random.Random(seed)
+    atoms = _reduction_atoms(c)
+    num = _sparse_poly(c, rng, exact._P)
+    for _ in range(rng.randint(0, 3)):
+        num = num * rng.choice(atoms)
+    den = {aid: rng.randint(1, 3)
+           for aid in rng.sample(range(len(c._atoms)), rng.randint(1, 4))}
+    return c, num, den, rng, atoms
+
+
+def _trial_context():
+    """A standard context whose every division is `_trial_div`."""
+    c = standard_context()
+    c._exact_div = lambda f, aid, images: _trial_div(c._ring, f, c._atoms[aid])
+    return c
+
+
+def test_reduction_cases_are_reached():
+    c, num, _, _, atoms = _reduction_case(0)
+    aid = [c._atoms.index(a.num) for a in atoms]
+    for a in atoms:
+        Expr._make(c, (num * a).num, {k: 2 for k in aid})
+    images = c._atom_images
+    assert not any(k[0] in aid[:3] for k in images)           # shifted
+    for k in aid[3:6]:                                        # no usable image
+        assert [g for key, g in images.items() if key[0] == k] == [None]
+    for k in aid[6:]:
+        assert [g for key, g in images.items() if key[0] == k][0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_reduction_equals_trial_division(seed):
+    c, num, den, _, _ = _reduction_case(seed)
+    e = Expr._make(c, num.num, dict(den))
+    ref_num, ref_den = _trial_reduce(c, num.num, dict(den))
+    assert list(e.num.items()) == list(ref_num.items())
+    assert e.den == tuple(sorted(ref_den.items()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_product_then_quotient_is_exact(seed):
+    results = []
+    for c in (standard_context(), _trial_context()):
+        _, num, den, rng, atoms = _reduction_case(seed, c)
+        f = Expr._make(c, num.num, dict(den))
+        g = _sparse_poly(c, rng, exact._P) * rng.choice(atoms)
+        h = (f * g) / g
+        assert h == f
+        results.append([(list(e.num.items()), e.den) for e in (f, f * g, h)])
+    assert results[0] == results[1]
