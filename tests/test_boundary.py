@@ -1,8 +1,9 @@
-"""Only `exact.py` knows the polynomial ring behind `Expr`.
+"""Only `exact.py` knows the polynomial kernel behind `Expr`.
 
-A stdlib-`ast` check over every other module of the package.  Outside
-`exact.py`:
-- no module imports sympy;
+No module of the package imports sympy, `exact.py` included (sympy is a test
+dependency only), and importing `crcartan.cli` loads no sympy module.  A
+stdlib-`ast` check over every other module of the package: outside
+`exact.py`,
 - no attribute named `num`, `den`, `from_domain` or `to_domain` is used;
 - no `_`-prefixed attribute is used on anything but `self` (dunder names such
   as `__init__` are the language's protocol, not a module's private state);
@@ -15,6 +16,9 @@ A stdlib-`ast` check over every other module of the package.  Outside
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,17 @@ def test_checker_finds_each_kernel_name():
                          ids=lambda p: p.name)
 def test_only_exact_knows_the_ring(path):
     assert boundary_violations(path.read_text(encoding="utf-8")) == []
+
+
+def test_exact_imports_no_sympy():
+    source = (SRC / "exact.py").read_text(encoding="utf-8")
+    assert [v for v in boundary_violations(source) if v.startswith("imports sympy")] == []
+
+
+def test_cli_import_loads_no_sympy():
+    code = ("import sys, crcartan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

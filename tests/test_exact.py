@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring as sympy_ring
 
 from crcartan import exact
 from crcartan.exact import (
@@ -251,6 +254,18 @@ def test_parse_errors(ctx):
 # misc API
 # ---------------------------------------------------------------------------
 
+def test_exponent_overflow_is_an_error(ctx):
+    x, y = ctx.vars("x", "y")
+    big = x ** (2 ** 14) * y ** (2 ** 14 - 1)      # total degree 2^15 - 1 fits
+    assert big.numerator().total_degree() == 2 ** 15 - 1
+    with pytest.raises(exact.ExactError):
+        big * x
+    with pytest.raises(exact.ExactError):
+        y ** (2 ** 15)
+    with pytest.raises(exact.ExactError):
+        Poly.from_terms(ctx, {(2 ** 15,) + (0,) * (len(ctx.names) - 1): GaussRat(1)})
+
+
 def test_poly_terms_roundtrip(ctx):
     x, y = ctx.vars("x", "y")
     p = (2 * x * y - y ** 3 + ctx.const(I)).numerator()
@@ -302,8 +317,7 @@ def test_cache_atoms_cover_the_cases():
     c = standard_context()
     e, f = _cache_operands(c)
     assert len(e.den) == 2 and len(f.den) == 2
-    assert any(not GaussRat._from_domain(c._conj_scale(aid)).is_real
-               for aid, _ in e.den)
+    assert any(not c._conj_scale(aid).is_real for aid, _ in e.den)
     assert any("x" not in Poly(c, c._atoms[aid]).as_expr().variables()
                for aid, _ in e.den)
 
@@ -362,6 +376,74 @@ def test_foreign_operand_is_a_type_error(ctx):
         ctx.one + 1.5
     with pytest.raises(TypeError):
         1.5 / ctx.one
+    g = GaussRat(1, 1)
+    with pytest.raises(TypeError, match="GaussRat"):
+        1.5 / g
+    with pytest.raises(TypeError, match="GaussRat"):
+        1.5 - g
+    with pytest.raises(TypeError, match="GaussRat"):
+        g ** 0.5
+    with pytest.raises(TypeError, match="GaussRat"):
+        g ** -0.5
+
+
+def _number(kind, num, den, im):
+    """num/den + im*i as an int, a Fraction or a GaussRat (None: not that kind)."""
+    if kind == "int":
+        return num if den == 1 and not im else None
+    if kind == "Fraction":
+        return Fraction(num, den) if not im else None
+    return GaussRat(Fraction(num, den), im)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(*[st.tuples(st.sampled_from(("int", "Fraction", "GaussRat")),
+                   st.integers(-3, 3), st.integers(1, 3), st.integers(-1, 1))] * 2)
+def test_equal_numbers_hash_equal(u, v):
+    a, b = _number(*u), _number(*v)
+    if a is None or b is None or a != b:
+        return
+    assert hash(a) == hash(b)
+    assert {a: 1}.get(b) == 1
+
+
+def test_const_cache_keys_by_value(ctx):
+    assert ctx.const(2) is ctx.const(GaussRat(2))
+    assert ctx.const(Fraction(1, 2)) is ctx.const(GaussRat(Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# an independent reference: sympy's sparse polynomials over QQ_I
+# ---------------------------------------------------------------------------
+
+def _ref_ring(c):
+    """The reference ring of a context: its variables, graded-lex, over QQ_I."""
+    return sympy_ring(",".join(c.names), QQ_I, order=grlex)[0]
+
+
+def _to_ref(ring, poly):
+    """A `Poly` as a reference ring element, read through `Poly.terms()`."""
+    return ring.from_dict({m: QQ_I.new(g.re, g.im) for m, g in poly.terms().items()})
+
+
+def _ref_terms(p):
+    """A reference element as {exponent tuple: GaussRat}, descending grlex."""
+    def rat(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+    return {m: GaussRat(rat(co.x), rat(co.y))
+            for m, co in sorted(p.iterterms(), key=lambda t: grlex(t[0]), reverse=True)}
+
+
+def _ref_conj(c, ring, p):
+    """Conjugation in the reference: swap paired variables, conjugate i."""
+    perm = [c.names.index(c.conj_name(n)) for n in c.names]
+    out = {}
+    for m, co in p.iterterms():
+        m2 = [0] * len(m)
+        for k, e in enumerate(m):
+            m2[perm[k]] = e
+        out[tuple(m2)] = QQ_I.new(co.x, -co.y)
+    return ring.from_dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +451,7 @@ def test_foreign_operand_is_a_type_error(ctx):
 # ---------------------------------------------------------------------------
 
 def _trial_div(ring, f, g):
-    """f // g when the division is exact, else None: long division alone."""
+    """f // g in the reference ring when the division is exact, else None."""
     if not f:
         return ring.zero
     lm_g = g.leading_expv()
@@ -387,12 +469,17 @@ def _trial_div(ring, f, g):
 
 
 def _trial_reduce(c, num, den):
-    """What `Expr._reduce` returns, by `_trial_div` against each atom."""
+    """What `Expr._reduce` returns, by `_trial_div` against each atom.
+
+    num is a `Poly`; the result's numerator is a reference ring element.
+    """
+    ring = _ref_ring(c)
+    num = _to_ref(ring, num)
     if not num:
         return num, {}
     for aid in list(den):
         while den.get(aid, 0) > 0:
-            q = _trial_div(c._ring, num, c._atoms[aid])
+            q = _trial_div(ring, num, _to_ref(ring, Poly(c, c._atoms[aid])))
             if q is None:
                 break
             num = q
@@ -449,9 +536,16 @@ def _reduction_case(seed, c=None):
 
 
 def _trial_context():
-    """A standard context whose every division is `_trial_div`."""
+    """A standard context whose every division is `_trial_div` in the reference."""
     c = standard_context()
-    c._exact_div = lambda f, aid, images: _trial_div(c._ring, f, c._atoms[aid])
+    ring = _ref_ring(c)
+
+    def exact_div(f, aid, images):
+        q = _trial_div(ring, _to_ref(ring, Poly(c, f)),
+                       _to_ref(ring, Poly(c, c._atoms[aid])))
+        return None if q is None else Poly.from_terms(c, _ref_terms(q)).p
+
+    c._exact_div = exact_div
     return c
 
 
@@ -473,8 +567,8 @@ def test_reduction_cases_are_reached():
 def test_reduction_equals_trial_division(seed):
     c, num, den, _, _ = _reduction_case(seed)
     e = Expr._make(c, num.num, dict(den))
-    ref_num, ref_den = _trial_reduce(c, num.num, dict(den))
-    assert list(e.num.items()) == list(ref_num.items())
+    ref_num, ref_den = _trial_reduce(c, num.numerator(), dict(den))
+    assert list(e.numerator().terms().items()) == list(_ref_terms(ref_num).items())
     assert e.den == tuple(sorted(ref_den.items()))
 
 
@@ -488,5 +582,76 @@ def test_product_then_quotient_is_exact(seed):
         g = _sparse_poly(c, rng, exact._P) * rng.choice(atoms)
         h = (f * g) / g
         assert h == f
-        results.append([(list(e.num.items()), e.den) for e in (f, f * g, h)])
+        results.append([(list(e.numerator().terms().items()), e.den)
+                        for e in (f, f * g, h)])
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the reference, operation by operation
+# ---------------------------------------------------------------------------
+
+#: atoms of every kind: 2x + 1 + i has Z[i] content 1 + i, so with a factor
+#: 1/(1+i) = (1-i)/2 in the quotient its monic form x + (1+i)/2 gives
+#: long-division steps the integer denominator 2 does not divide; two
+#: monomial atoms; one coefficient of denominator P
+_REF_ATOMS = ("2*x + 1 + i", "a*ab^2", "x*y^2", f"x + y/{exact._P}",
+              "x^2 + y^2 - 2", "y*ab - a + 3")
+
+
+def _ref_pair(ring, e):
+    """An Expr as (numerator, denominator) in the reference ring."""
+    return _to_ref(ring, e.numerator()), _to_ref(ring, e.denominator())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_kernel_matches_reference(seed):
+    c = standard_context()
+    ring = _ref_ring(c)
+    rng = random.Random(seed)
+    atoms = [parse(c, t) for t in _REF_ATOMS]
+    x = ring.gens[c.names.index("x")]
+    p = _sparse_poly(c, rng, exact._P) * rng.choice(atoms)
+    if rng.random() < 0.5:
+        p = p / (1 + c.const(I))
+    q = c.zero
+    while q.is_zero:                  # two terms of _sparse_poly may cancel
+        q = _sparse_poly(c, rng, exact._P)
+    P, Q = _to_ref(ring, p.numerator()), _to_ref(ring, q.numerator())
+    polynomial = {
+        "+": (p + q, P + Q), "-": (p - q, P - Q), "*": (p * q, P * Q),
+        "**": (p ** 3, P ** 3), "diff": (p.diff("x"), P.diff(x)),
+        "conj": (p.conj(), _ref_conj(c, ring, P)),
+        "subs": (p.subs({"x": q}), P.compose(x, Q)),
+    }
+    for name, (e, ref) in polynomial.items():
+        assert e.is_polynomial, name
+        assert list(e.numerator().terms().items()) == list(_ref_terms(ref).items()), name
+    # exact quotients: by each atom, and by a product of atoms
+    for A in atoms + [atoms[0] ** 2 * rng.choice(atoms)]:
+        RA = _to_ref(ring, A.numerator())
+        f = p * q * A
+        e = f / A
+        assert e.is_polynomial
+        ref = _trial_div(ring, _to_ref(ring, f.numerator()), RA)
+        assert list(e.numerator().terms().items()) == list(_ref_terms(ref).items())
+        assert ref == P * Q
+    # rational functions, compared by cross multiplication
+    r = p / rng.choice(atoms)
+    s = q / (rng.choice(atoms) * rng.choice(atoms))
+    (N1, D1), (N2, D2) = _ref_pair(ring, r), _ref_pair(ring, s)
+    rational = {
+        "+": (r + s, N1 * D2 + N2 * D1, D1 * D2),
+        "-": (r - s, N1 * D2 - N2 * D1, D1 * D2),
+        "*": (r * s, N1 * N2, D1 * D2),
+        "/": (r / s, N1 * D2, D1 * N2),
+        "**": (r ** 2, N1 ** 2, D1 ** 2),
+        "diff": (r.diff("x"), N1.diff(x) * D1 - N1 * D1.diff(x), D1 ** 2),
+        "conj": (r.conj(), _ref_conj(c, ring, N1), _ref_conj(c, ring, D1)),
+    }
+    if D1.compose(x, Q):              # else the substitution zeroes the denominator
+        rational["subs"] = (r.subs({"x": q}), N1.compose(x, Q), D1.compose(x, Q))
+    for name, (e, N, D) in rational.items():
+        EN, ED = _ref_pair(ring, e)
+        assert EN * D == N * ED, name
