@@ -252,10 +252,7 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
                         add(base + off, (j, mon, "re"), GaussRat(g.re))
                         add(base + off, (j, mon, "im"), GaussRat(g.im))
 
-    rows = []
-    for key, row in rows_by_key.items():
-        rows.append([row.get(c, GaussRat(0)) for c in range(nunk)])
-    sols = nullspace(rows, nunk)
+    sols = nullspace(list(rows_by_key.values()), nunk)
 
     basis = []
     for v in sols:
@@ -276,13 +273,12 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
 def _field_coordinates(basis: list, X: HolField):
     """Real coordinates of X in span_R(basis); None if X is outside."""
     keyed: dict = {}
-    cols = len(basis)
     for bi, b in enumerate(basis + [X]):
         for c, comp in enumerate(b.components()):
             for mon, g in comp.numerator().terms().items():
-                keyed.setdefault((c, mon, "re"), [GaussRat(0)] * (cols + 1))[bi] = GaussRat(g.re)
-                keyed.setdefault((c, mon, "im"), [GaussRat(0)] * (cols + 1))[bi] = GaussRat(g.im)
-    return span_coordinates(list(keyed.values()), cols)
+                keyed.setdefault((c, mon, "re"), {})[bi] = GaussRat(g.re)
+                keyed.setdefault((c, mon, "im"), {})[bi] = GaussRat(g.im)
+    return span_coordinates(list(keyed.values()), len(basis))
 
 
 def _structure_constants(m: RigidModel, basis: list, weight_bound: int) -> LieAlgebra:

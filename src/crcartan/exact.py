@@ -19,7 +19,10 @@ A monomial is packed into one int (Monagan and Pearce, J. Symb. Comput. 46,
 order, _W bits per field.  Integer `<` is then graded-lex order, `max` of the
 keys is the leading monomial, a product of monomials is an int `+`, and
 divisibility is a test of the fields' guard bits.  An exponent that does not
-fit its field raises ExactError; it never wraps.
+fit its field raises ExactError; it never wraps.  A scalar (`GaussRat`) has
+the same form, (a + b*i) / d with Python ints, d > 0 and gcd(a, b, d) = 1: a
+coefficient is read out of a polynomial with one gcd, and a constant
+polynomial is built from a scalar with none.
 
 Denominators are kept in *factored* form.  Every division registers the
 divisor's numerator as a monic "atom" in the owning Context, and fractions
@@ -98,58 +101,83 @@ class ExactError(Exception):
 # ---------------------------------------------------------------------------
 
 class GaussRat:
-    """An exact Gaussian rational re + im*i with Fraction components."""
+    """An exact Gaussian rational (a + b*i) / d.
 
-    __slots__ = ("re", "im")
+    The same convention as a kernel coefficient: a, b and d are Python ints
+    with d > 0 and gcd(a, b, d) = 1, so zero is 0/1 and equality is
+    structural.  Each operation takes one gcd of its result, not one per
+    component.  `re` and `im` are the components as Fractions, read-only;
+    code outside this module goes through them and the arithmetic.  A real
+    value is `==` to, and hashes like, the int or Fraction it equals.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussRat is immutable")
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "GaussRat":
-        g = object.__new__(cls)
-        object.__setattr__(g, "re", re)
-        object.__setattr__(g, "im", im)
-        return g
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def conj(self) -> "GaussRat":
-        return GaussRat._make(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, GaussRat):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(other)
+        if isinstance(other, int):
+            return _gr(other, 0, 1)
+        if isinstance(other, Fraction):
+            return _gr(other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussRat._make(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _gr_reduced(self._a + o._a, self._b + o._b, d1)
+        return _gr_reduced(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat._make(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussRat._make(self.re - o.re, self.im - o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _gr_reduced(self._a - o._a, self._b - o._b, d1)
+        return _gr_reduced(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -159,8 +187,8 @@ class GaussRat:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussRat._make(self.re * o.re - self.im * o.im,
-                              self.re * o.im + self.im * o.re)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _gr_reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -168,10 +196,12 @@ class GaussRat:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = o.re * o.re + o.im * o.im
+        # (a1 + b1 i) / d1 * d2 / (a2 + b2 i) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 n)
+        a1, b1, a2, b2, d2 = self._a, self._b, o._a, o._b, o._d
+        n = a2 * a2 + b2 * b2
         if not n:
             raise ZeroDivisionError("division by zero GaussRat")
-        return self * GaussRat._make(o.re / n, -o.im / n)
+        return _gr_reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -196,11 +226,13 @@ class GaussRat:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         # a real value hashes like the int or Fraction it equals
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -209,13 +241,28 @@ class GaussRat:
         return _render_coeff(self, bare=True)
 
 
+_set_a, _set_b, _set_d = GaussRat._a.__set__, GaussRat._b.__set__, GaussRat._d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i) / d, already canonical: d > 0 and gcd(a, b, d) = 1."""
+    g = object.__new__(GaussRat)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _gr_reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i) / d in canonical form, for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _gr(a, b, d)
+
+
 I = GaussRat(0, 1)
-
-
-def _parts(g: GaussRat) -> tuple[int, int, int]:
-    """(re, im, d) with g = (re + im*i) / d, d > 0 and gcd(d, re, im) = 1."""
-    d = lcm(g.re.denominator, g.im.denominator)
-    return g.re.numerator * (d // g.re.denominator), g.im.numerator * (d // g.im.denominator), d
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +306,7 @@ class _ZIPoly:
 
     def coeff(self, m: int) -> GaussRat:
         re, im = self.t[m]
-        d = self.d
-        return GaussRat._make(Fraction(re, d), Fraction(im, d))
+        return _gr_reduced(re, im, self.d)
 
 
 def _reduced(t: dict, d: int) -> _ZIPoly:
@@ -279,8 +325,7 @@ def _reduced(t: dict, d: int) -> _ZIPoly:
 
 
 def _const(g: GaussRat) -> _ZIPoly:
-    re, im, d = _parts(g)
-    return _ZIPoly({0: (re, im)} if re or im else {}, d)
+    return _ZIPoly({0: (g._a, g._b)} if g._a or g._b else {}, g._d)
 
 
 def _add(p: _ZIPoly, q: _ZIPoly) -> _ZIPoly:
@@ -359,7 +404,7 @@ def _scale(p: _ZIPoly, a: int, b: int, d: int) -> _ZIPoly:
 
 def _quo_ground(p: _ZIPoly, g: GaussRat) -> _ZIPoly:
     """p / g for a nonzero g: times d (a - b*i) / (a^2 + b^2), g = (a + b*i) / d."""
-    a, b, d = _parts(g)
+    a, b, d = g._a, g._b, g._d
     return _scale(p, d * a, -d * b, a * a + b * b)
 
 
@@ -756,9 +801,9 @@ class Poly:
 
     @classmethod
     def from_terms(cls, ctx: Context, terms: Mapping[tuple, GaussRat]) -> "Poly":
-        parts = [(ctx._pack(m), _parts(c)) for m, c in terms.items() if not c.is_zero]
-        d = lcm(*(cd for _, (_, _, cd) in parts))
-        t = {m: (re * (d // cd), im * (d // cd)) for m, (re, im, cd) in parts}
+        parts = [(ctx._pack(m), c) for m, c in terms.items() if not c.is_zero]
+        d = lcm(*(c._d for _, c in parts))
+        t = {m: (c._a * (d // c._d), c._b * (d // c._d)) for m, c in parts}
         return cls(ctx, _reduced(t, d))
 
     def terms(self) -> dict[tuple, GaussRat]:
@@ -1115,25 +1160,28 @@ def diff(e: Expr, name: str) -> Expr:
 # Rendering and parsing (the CLI payload grammar)
 # ---------------------------------------------------------------------------
 
-def _render_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _render_frac(n: int, d: int) -> str:
+    """n / d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _render_coeff(c: GaussRat, bare: bool = False) -> str:
     """Render a Gaussian rational; `bare` means it stands alone (no monomial)."""
-    if c.is_real:
-        return _render_frac(c.re)
-    if not c.re:
-        if c.im == 1:
+    a, b, d = c._a, c._b, c._d
+    if not b:
+        return _render_frac(a, d)
+    if not a:
+        if b == d:
             return "i"
-        if c.im == -1:
+        if b == -d:
             return "-i"
-        return f"{_render_frac(c.im)}*i"
-    im = c.im
-    op = "+" if im > 0 else "-"
-    im_abs = abs(im)
-    im_s = "i" if im_abs == 1 else f"{_render_frac(im_abs)}*i"
-    s = f"{_render_frac(c.re)}{op}{im_s}"
+        return f"{_render_frac(b, d)}*i"
+    op = "+" if b > 0 else "-"
+    b_abs = abs(b)
+    im_s = "i" if b_abs == d else f"{_render_frac(b_abs, d)}*i"
+    s = f"{_render_frac(a, d)}{op}{im_s}"
     return s if bare else f"({s})"
 
 

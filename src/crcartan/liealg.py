@@ -5,7 +5,13 @@ characteristic sequence), recognition of the nilpotent algebras of dimension
 at most five, isomorphism verification, and the prolongation of a negatively
 graded algebra by degree-preserving derivations (and higher shifts).
 
-All linear algebra is exact over the Gaussian rationals.
+All linear algebra is exact over the Gaussian rationals.  Row reduction
+(`rref`, `rank`, `nullspace`) runs one Gauss-Jordan loop on sparse rows
+{column: nonzero GaussRat}: the automorphism solver and the prolongation
+build their equations as such dicts, and a dense matrix is converted once
+on entry.  The pivot of each column is the first row at or below the current
+one that is nonzero there, as in the textbook dense loop, so every reduced
+form and every nullspace basis is the dense one.
 """
 
 from __future__ import annotations
@@ -40,58 +46,111 @@ def mat_vec(A, v):
             for i in range(len(A))]
 
 
-def rref(M):
-    """Row-reduce a copy of M; returns (rref matrix, pivot columns).
+def _sparse(row) -> dict:
+    """A new {column: nonzero GaussRat} from a dense list or a dict row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: v for j, v in items if not v.is_zero}
 
-    The pivot row is scaled, and the other rows are updated, only on the
-    pivot row's nonzero columns: the systems solved here (the tangency
-    equations of autcr above all) are mostly zeros.
+
+def _eliminate(M):
+    """Gauss-Jordan elimination of the rows of M, dense lists or sparse dicts.
+
+    Returns (reduced rows, pivot columns): the nonzero rows of the reduced
+    echelon form, as {column: nonzero GaussRat} with row r's pivot at
+    column piv[r] and equal to 1.  The pivot for column c is the first row
+    at or below r that is nonzero in c, swapped into place, as in the
+    textbook order; a column index ({column: rows holding it}) finds it and
+    the rows to update without scanning a zero entry.
+    """
+    rows = [_sparse(row) for row in M]
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    pos = list(range(len(rows)))     # row id -> position
+    at = list(range(len(rows)))      # position -> row id
+    piv = []
+    r = 0
+    for c in sorted(where):
+        # rows at positions >= r are zero left of c; fill-in never leaves
+        # the columns some row already holds
+        holders = where[c]
+        p = min((i for i in holders if pos[i] >= r), key=pos.__getitem__, default=None)
+        if p is None:
+            continue
+        q = at[r]
+        at[r], at[pos[p]] = p, q
+        pos[q], pos[p] = pos[p], r
+        prow = rows[p]
+        inv = GaussRat(1) / prow[c]
+        for j in prow:
+            prow[j] = prow[j] * inv
+        nz = [(j, v) for j, v in prow.items() if j != c]
+        for i in [i for i in holders if i != p]:
+            row = rows[i]
+            f = row.pop(c)
+            for j, v in nz:
+                old = row.get(j)
+                if old is None:
+                    row[j] = -(f * v)
+                    where[j].add(i)
+                else:
+                    new = old - f * v
+                    if new.is_zero:
+                        del row[j]
+                        where[j].discard(i)
+                    else:
+                        row[j] = new
+        where[c] = {p}
+        piv.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [rows[at[k]] for k in range(r)], piv
+
+
+def rref(M):
+    """Row-reduce a copy of the dense matrix M; returns (rref matrix, pivot columns).
+
+    M is converted once to sparse rows and reduced by `_eliminate`, which
+    keeps the dense loop's pivot rule (the first row at or below the current
+    one that is nonzero in the column) and its row swaps; the result is the
+    dense reduction entry for entry, with the zero rows last.
     """
     if not M:
         return [], []
-    M = [row[:] for row in M]
-    rows, cols = len(M), len(M[0])
-    piv = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        prow = M[r]
-        # columns left of c are zero in every row from r down
-        nz = [j for j in range(c, cols) if not prow[j].is_zero]
-        inv = GaussRat(1) / prow[c]
-        for j in nz:
-            prow[j] = prow[j] * inv
-        for i in range(rows):
-            row = M[i]
-            f = row[c]
-            if i != r and not f.is_zero:
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, piv
+    cols = len(M[0])
+    R, piv = _eliminate(M)
+    zero = GaussRat(0)
+    dense = [[row.get(j, zero) for j in range(cols)] for row in R]
+    return dense + [[zero] * cols for _ in range(len(M) - len(R))], piv
 
 
 def rank(M) -> int:
-    return len(rref(M)[1])
+    return len(_eliminate(M)[1])
 
 
 def nullspace(M, cols: int):
-    """Basis of the right nullspace of M (rows over GaussRat)."""
-    R, piv = rref(M)
-    free = [c for c in range(cols) if c not in piv]
+    """Basis of the right nullspace of M, whose rows are dense lists or
+    sparse {column: GaussRat} dicts over `cols` columns.
+
+    One vector per free column fc, in increasing order: 1 at fc, minus
+    column fc of the reduced rows at the pivots, zero elsewhere.
+    """
+    R, piv = _eliminate(M)
+    pivots = set(piv)
+    free = {fc: k for k, fc in enumerate(c for c in range(cols) if c not in pivots)}
+    zero, one = GaussRat(0), GaussRat(1)
     basis = []
     for fc in free:
-        v = [GaussRat(0)] * cols
-        v[fc] = GaussRat(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -R[r][fc]
+        v = [zero] * cols
+        v[fc] = one
         basis.append(v)
+    for row, pc in zip(R, piv):
+        for j, x in row.items():
+            k = free.get(j)
+            if k is not None:
+                basis[k][pc] = -x
     return basis
 
 
@@ -112,8 +171,9 @@ def in_span(v, basis) -> bool:
 def span_coordinates(rows, m: int):
     """Coordinates x of a target t in the span of m vectors b_k, or None.
 
-    Row c of `rows` is [b_1[c], ..., b_m[c], t[c]]; a nullspace vector v of
-    that system with v[m] != 0 gives t = sum_k (-v[k] / v[m]) b_k.
+    Row c of `rows` is [b_1[c], ..., b_m[c], t[c]], as a dense list or as a
+    sparse {k: value} dict; a nullspace vector v of that system with
+    v[m] != 0 gives t = sum_k (-v[k] / v[m]) b_k.
     """
     for v in nullspace(rows, m + 1):
         if not v[m].is_zero:
@@ -581,6 +641,18 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
             forms[i][unk(d, i, pos)] = GaussRat(1)
         return d + l, forms
 
+    columns: dict = {}
+    def component_column(deg, d_other, pos):
+        """For each basis element of g_deg, the nonzero (slot, value) pairs of
+        column pos of its map on degree d_other; read once per step."""
+        key = (deg, d_other, pos)
+        if key not in columns:
+            res_slots = slots(deg + d_other)
+            columns[key] = [[(t, row[pos]) for t, row in zip(res_slots, maps[d_other])
+                             if not row[pos].is_zero]
+                            for maps in components[deg].basis]
+        return columns[key]
+
     def bracket_value_with_basis(img_deg, forms, other_idx, sign):
         """[u(e_src), e_other] as linear forms over the coordinates of the
         result space: g_- coordinates when the result degree is negative,
@@ -601,25 +673,21 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
                         out[s][fu] = out[s].get(fu, GaussRat(0)) + GaussRat(sign) * cf * bb[s]
             return res_deg, out
         pos = deg_idx[d_other].index(other_idx)
-        res_slots = slots(res_deg)
         out = [dict() for _ in range(width(res_deg))]
-        for i, maps in enumerate(components[img_deg].basis):
-            col = [row[pos] for row in maps[d_other]]
-            for fu, cf in forms[i].items():
-                for r, t in enumerate(res_slots):
-                    if col[r].is_zero:
-                        continue
-                    out[t][fu] = out[t].get(fu, GaussRat(0)) + GaussRat(sign) * cf * col[r]
+        for form, col in zip(forms, component_column(img_deg, d_other, pos)):
+            for fu, cf in form.items():
+                f = GaussRat(sign) * cf
+                for t, x in col:
+                    out[t][fu] = out[t].get(fu, GaussRat(0)) + f * x
         return res_deg, out
 
     rows = []
     def add_eq(forms_l, forms_r, width):
         for s in range(width):
-            keys = set(forms_l[s]) | set(forms_r[s])
-            if keys:
-                row = [GaussRat(0)] * total
-                for u_ in keys:
-                    row[u_] = forms_l[s].get(u_, GaussRat(0)) - forms_r[s].get(u_, GaussRat(0))
+            row = dict(forms_l[s])
+            for u_, cf in forms_r[s].items():
+                row[u_] = row[u_] - cf if u_ in row else -cf
+            if row:
                 rows.append(row)
 
     for j in range(n):
@@ -659,19 +727,19 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
         for i in range(d1):
             for j in range(d1):
                 # (D J - J D)_{ij} = 0 on the degree -1 block
-                row = [GaussRat(0)] * total
+                row = {}
                 for k in range(d1):
-                    row[unk(-1, i, k)] = row[unk(-1, i, k)] + gm.J[k][j]
-                    row[unk(-1, k, j)] = row[unk(-1, k, j)] - gm.J[i][k]
+                    row[unk(-1, i, k)] = row.get(unk(-1, i, k), GaussRat(0)) + gm.J[k][j]
+                    row[unk(-1, k, j)] = row.get(unk(-1, k, j), GaussRat(0)) - gm.J[i][k]
                 rows.append(row)
 
     sols = nullspace(rows, total)
     basis = []
     for v in sols:
         maps = {}
-        for d in sizes:
-            nrows, ncols = sizes[d]
-            maps[d] = [[v[unk(d, i, jj)] for jj in range(ncols)] for i in range(nrows)]
+        for d, (nrows, ncols) in sizes.items():
+            o = offsets[d]
+            maps[d] = [v[o + i * ncols:o + (i + 1) * ncols] for i in range(nrows)]
         basis.append(maps)
     return ProlongationComponent(l, basis)
 

@@ -7,6 +7,9 @@ stdlib-`ast` check over every other module of the package: outside
 - no attribute named `num`, `den`, `from_domain` or `to_domain` is used;
 - no `_`-prefixed attribute is used on anything but `self` (dunder names such
   as `__init__` are the language's protocol, not a module's private state);
+- no integer field of `GaussRat` (`_a`, `_b`, `_d` of `(a + b*i) / d`) is
+  read, not even on `self`: other modules go through `re`, `im` and the
+  arithmetic;
 - the coefficient domains `ExprDomain` and `ExtDomain` define none of the
   pass-throughs `is_zero`, `conj`, `param_diff` or `subs_params`: their
   elements answer those themselves;
@@ -31,6 +34,7 @@ PASS_THROUGHS = {"is_zero", "conj", "param_diff", "subs_params"}
 KERNEL_NAMES = {"_exact_div", "_long_div", "_shift", "_reduce", "_register",
                 "_P", "_I_MOD_P", "_image", "_divides_mod_p", "_atom_image",
                 "_atom_images", "_points"}
+GAUSS_FIELDS = {"_a", "_b", "_d"}
 
 
 def boundary_violations(source: str) -> list[str]:
@@ -52,7 +56,7 @@ def boundary_violations(source: str) -> list[str]:
             attr = node.attr
             on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
             dunder = attr.startswith("__") and attr.endswith("__")
-            if attr in RING_ATTRS or attr in KERNEL_NAMES:
+            if attr in RING_ATTRS or attr in KERNEL_NAMES or attr in GAUSS_FIELDS:
                 out.append(f".{attr} (line {node.lineno})")
             elif attr.startswith("_") and not dunder and not on_self:
                 out.append(f".{attr} (line {node.lineno})")
@@ -80,6 +84,14 @@ def test_checker_finds_each_kernel_name():
     assert boundary_violations(source) == [
         "._atom_images (line 6)", "._reduce (line 6)", "_image (line 6)",
         "defines _shift (line 2)", "imports _P (line 1)"]
+
+
+def test_checker_finds_gaussrat_fields():
+    # self._b and self._d break only the GaussRat rule: other private
+    # attributes are allowed on self
+    source = ("def f(g):\n    return g.re, g._a\n"
+              "class Q:\n    def f(self):\n        return self._b, self._d, self.im, self._c\n")
+    assert boundary_violations(source) == ["._a (line 2)", "._b (line 5)", "._d (line 5)"]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "exact.py"),

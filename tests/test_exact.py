@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +44,85 @@ def test_gaussrat_field_ops():
     assert a * (b + 1) == a * b + a
     with pytest.raises(ZeroDivisionError):
         a / GaussRat(0)
+
+
+# zero is drawn often, so that zero divisors and zero bases are reached
+_FRACTIONS = st.just(Fraction(0)) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _canonical(g: GaussRat) -> bool:
+    """(a + b*i) / d with d > 0 and gcd(a, b, d) = 1; zero is 0/1."""
+    a, b, d = g._a, g._b, g._d
+    return (all(type(x) is int for x in (a, b, d)) and d > 0
+            and math.gcd(a, b, d) == 1 and (a != 0 or b != 0 or d == 1))
+
+
+def _pair_ops(p, q):
+    """+ - * / on (re, im) pairs of Fractions, the reference for GaussRat."""
+    (r1, i1), (r2, i2) = p, q
+    out = {"+": (r1 + r2, i1 + i2), "-": (r1 - r2, i1 - i2),
+           "*": (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)}
+    n = r2 * r2 + i2 * i2
+    if n:
+        out["/"] = ((r1 * r2 + i1 * i2) / n, (i1 * r2 - r1 * i2) / n)
+    return out
+
+
+def _pair_pow(p, k):
+    (r, i), (pr, pi) = p, (Fraction(1), Fraction(0))
+    if k < 0:
+        n = r * r + i * i
+        r, i, k = r / n, -i / n, -k
+    for _ in range(k):
+        pr, pi = pr * r - pi * i, pr * i + pi * r
+    return pr, pi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS, _FRACTIONS, st.integers(-3, 4))
+def test_gaussrat_against_fraction_pairs(r1, i1, r2, i2, k):
+    p, q = GaussRat(r1, i1), GaussRat(r2, i2)
+    assert _canonical(p) and _canonical(q)
+    assert (p.re, p.im) == (r1, i1)
+    ops = {"+": p + q, "-": p - q, "*": p * q}
+    if not q.is_zero:
+        ops["/"] = p / q
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p / q
+    assert set(ops) == set(_pair_ops((r1, i1), (r2, i2)))
+    for op, want in _pair_ops((r1, i1), (r2, i2)).items():
+        got = ops[op]
+        assert _canonical(got)
+        assert (got.re, got.im) == want
+    if k >= 0 or not p.is_zero:
+        got = p ** k
+        assert _canonical(got) and (got.re, got.im) == _pair_pow((r1, i1), k)
+    # a real value is == to, and hashes like, the int or Fraction it equals
+    for g, re in ((p * p.conj(), r1 * r1 + i1 * i1), (GaussRat(r2), r2)):
+        assert g.is_real and g == re and hash(g) == hash(re)
+        if re.denominator == 1:
+            assert g == int(re) and hash(g) == hash(int(re))
+
+
+def test_gaussrat_zero_and_foreign_operands(ctx):
+    zero = GaussRat(Fraction(0, 5), 0)
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert _canonical(GaussRat(1, 1) - GaussRat(1, 1))
+    g = GaussRat(Fraction(1, 2), 3)
+    for divisor in (GaussRat(0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            g / divisor
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(g, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, g)
+    assert ctx.const(1) is ctx.const(GaussRat(1))
 
 
 # ---------------------------------------------------------------------------

@@ -346,13 +346,15 @@ def _degree_minus_one_J(grading):
 
 # dim g_0, dim g_1, ... of each table algebra graded by its lower central
 # series (n5_2 and n5_3 admit no such grading), without and with J; the
-# prolongation stops at a zero component or after g_6.  The largest symbols
-# of infinite type are prolonged to a lower degree to keep the test short.
+# prolongation stops at a zero component or after g_6.  The abelian a4
+# without J runs to full depth, dim g_k = 4 * C(4 + k, k + 1); the other
+# largest symbols of infinite type are prolonged to a lower degree to keep
+# the test short.
 PROLONGATION_DIMS = {
     "a1": ([1, 1, 1, 1, 1, 1, 1], None),
     "a2": ([4, 6, 8, 10, 12, 14, 16], [2, 2, 2, 2, 2, 2, 2]),
     "a3": ([9, 18, 30, 45, 63, 84, 108], None),
-    "a4": ([16, 40, 80, 140], [8, 12, 16, 20, 24, 28, 32]),
+    "a4": ([16, 40, 80, 140, 224, 336, 480], [8, 12, 16, 20, 24, 28, 32]),
     "a5": ([25, 75, 175], None),
     "n3_1": ([4, 6, 9, 12, 16, 20, 25], [2, 2, 1, 0]),
     "n3_1+a1": ([7, 13, 22, 34, 50, 70, 95], None),
