@@ -83,23 +83,6 @@ class RigidModel:
         return out
 
 
-def cubic_rigid_model() -> RigidModel:
-    ctx = rigid_context(3)
-    z, zb = ctx.vars("z", "zb")
-    i = ctx.const(I)
-    return RigidModel(ctx, (
-        z * zb,
-        z * zb * (z + zb),
-        (z * zb * (z - zb)) / i,
-    ))
-
-
-def heisenberg_model() -> RigidModel:
-    ctx = rigid_context(1)
-    z, zb = ctx.vars("z", "zb")
-    return RigidModel(ctx, (z * zb,))
-
-
 @dataclass(frozen=True)
 class HolField:
     """Z d/dz + sum W^j d/dw_j with polynomial holomorphic coefficients."""
@@ -162,12 +145,6 @@ def tangency_residuals(X: HolField, m: RigidModel) -> list[Expr]:
                - 2 * i * Zc * phi.diff("zb"))
         out.append(res)
     return out
-
-
-def verify_tangency(X: HolField, m: RigidModel):
-    """\"ok\" when Re X is tangent to the model; otherwise the residual list."""
-    res = tangency_residuals(X, m)
-    return "ok" if all(r.is_zero for r in res) else res
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def rigid_model(mf: ModelFile) -> RigidModel:
 def parse_algebra_file(text: str):
     dim = None
     grading = None
-    jmap = None
+    jmap = jline = None
     brackets = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,7 +190,7 @@ def parse_algebra_file(text: str):
                 if any(d >= 0 for d in grading):
                     raise ParseError("grading degrees must be negative", lineno)
             else:
-                jmap = val.strip()
+                jmap, jline = val.strip(), lineno
             continue
         m = re.fullmatch(r"\[\s*e(\d+)\s*,\s*e(\d+)\s*\]\s*=\s*(.*)", line)
         if not m:
@@ -228,10 +228,10 @@ def parse_algebra_file(text: str):
         for part in jmap.split(","):
             mm = re.fullmatch(r"\s*e(\d+)\s*->\s*(-?)\s*e(\d+)\s*", part)
             if not mm:
-                raise ParseError(f"bad J entry {part!r}")
+                raise ParseError(f"bad J entry {part!r}", jline)
             src, sign, dst = int(mm.group(1)) - 1, mm.group(2), int(mm.group(3)) - 1
             if src not in ids or dst not in ids:
-                raise ParseError(f"J entry {part!r} leaves the degree -1 part")
+                raise ParseError(f"J entry {part!r} leaves the degree -1 part", jline)
             J[ids.index(dst)][ids.index(src)] = GaussRat(-1 if sign else 1)
     return g, grading, J
 

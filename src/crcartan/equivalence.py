@@ -31,6 +31,7 @@ domain object supplies only `zero`, `one`, `ctx`, `lift` and `frame_apply`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coframes import TwoForm, darboux_structure
 from .exact import Context, ExactError, Expr, GaussRat, I
@@ -85,19 +86,6 @@ class GroupElement:
         return (cj(self.a, self.ab), cj(self.b, self.bb), cj(self.c, self.cb),
                 cj(self.d, self.db), cj(self.e, self.eb))
 
-    def matrix(self, zero):
-        """The ambiguity matrix itself (coframe-change shape)."""
-        a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
-        ab, bb, cb, db, eb = self.conj_entries()
-        z = zero
-        return [
-            [a * ab * ab, z, cb, eb, db],
-            [z, a * a * ab, c, d, e],
-            [z, z, a * ab, bb, b],
-            [z, z, z, ab, z],
-            [z, z, z, z, a],
-        ]
-
     def lift_matrix(self, zero):
         """Transposed shape acting on (sigma0_bar, sigma0, rho0, zeta0_bar, zeta0)."""
         a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
@@ -110,25 +98,6 @@ class GroupElement:
             [eb, d, bb, ab, z],
             [db, e, b, z, a],
         ]
-
-
-def is_ambiguity_shape(m, conj=lambda v: v.conj()) -> bool:
-    """Check a 5x5 matrix has the ambiguity-group shape (closure test)."""
-    a = m[4][4]
-    ab = m[3][3]
-    if getattr(a, "is_zero", a == 0):
-        return False
-    checks = [
-        conj(a) == ab,
-        m[0][0] == a * ab * ab, m[1][1] == a * a * ab, m[2][2] == a * ab,
-        conj(m[1][2]) == m[0][2],          # c, c bar
-        conj(m[1][4]) == m[0][3],          # e, e bar
-        conj(m[1][3]) == m[0][4],          # d, d bar
-        conj(m[2][4]) == m[2][3],          # b, b bar
-    ]
-    zeros = [m[1][0], m[0][1], m[2][0], m[2][1], m[3][0], m[3][1], m[3][2],
-             m[4][0], m[4][1], m[4][2], m[3][4], m[4][3]]
-    return all(checks) and all(getattr(z, "is_zero", z == 0) for z in zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +307,11 @@ class Stage:
     F: list                    # 5x5 lower-triangular, domain coefficients
     base_d: list               # darboux 2-forms of theta0, domain-lifted
 
+    @cached_property
+    def Finv(self) -> list:
+        """F^-1, computed once: the structure and the prolongation both read it."""
+        return _lower_tri_inverse(self.dom, self.F)
+
 
 def _lower_tri_inverse(dom, F):
     n = 5
@@ -360,8 +334,7 @@ def stage_structure(stage: Stage) -> dict[int, TwoForm]:
     d sigma_bar and d zeta_bar are their conjugates (`_conj_form`); only the
     prolongation needs them, and it also forms the Maurer-Cartan part.
     """
-    Finv = _lower_tri_inverse(stage.dom, stage.F)
-    return {k: _torsion_row(stage, Finv, k) for k in (1, 2, 4)}
+    return {k: _torsion_row(stage, stage.Finv, k) for k in (1, 2, 4)}
 
 
 def _torsion_row(stage: Stage, Finv, k: int) -> TwoForm:
@@ -749,8 +722,7 @@ def _prolongation(stage3: Stage, struct3: dict[int, TwoForm], ts3: TorsionSet,
     # structure equations of the five lifted forms over the 7-element basis:
     # torsion plus the Maurer-Cartan part sum_l dF_kl/dp Finv_lm dp ^ theta_m;
     # those of sigma_bar and zeta_bar are the conjugates of those of sigma, zeta
-    F = stage3.F
-    Finv = _lower_tri_inverse(dom, F)
+    F, Finv = stage3.F, stage3.Finv
     dtheta = [None] * 5
     for k, torsion in struct3.items():
         tf = TwoForm(torsion.coeffs)

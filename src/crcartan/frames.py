@@ -23,9 +23,6 @@ from .liealg import rank
 
 BASE_VARS = ("x", "y", "u1", "u2", "u3")
 
-#: frame order matching the coframe duality: (Sbar, S, T, Lbar, L)
-FRAME_ORDER = ("Sbar", "S", "T", "Lbar", "L")
-
 CONVENTIONS = ("s12", "s13")
 _T_SCALE = {"s12": 1, "s13": 2}
 
@@ -376,12 +373,6 @@ def structure_functions(f: Frame, table: InversionTable | None = None) -> Struct
     if mKbar != -K.conj():
         raise FrameError("frame inconsistency in [S, Sbar]")
     return StructureFunctions(f, table, P, Q, R, A, B, C, E, F, G, J, K)
-
-
-def frame_derivative(sf: StructureFunctions | Frame, e: Expr, which: str) -> Expr:
-    """Apply one of the frame fields (by name) to a function on the base."""
-    frame = sf.frame if isinstance(sf, StructureFunctions) else sf
-    return frame.fields()[which].apply(e)
 
 
 def efgjk_from_formulas(sf: StructureFunctions) -> dict[str, Expr]:

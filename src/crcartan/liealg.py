@@ -1,9 +1,9 @@
 """Finite-dimensional Lie algebras by structure constants, over Q(i).
 
-Validation of the axioms, nilpotency invariants (lower central series,
-characteristic sequence), recognition of the nilpotent algebras of dimension
-at most five, isomorphism verification, and the prolongation of a negatively
-graded algebra by degree-preserving derivations (and higher shifts).
+Validation of the axioms, the lower central series and the center,
+recognition of the nilpotent algebras of dimension at most five by exact
+invariants, and the Tanaka prolongation of a negatively graded algebra by
+degree-preserving derivations (and higher shifts).
 
 All linear algebra is exact over the Gaussian rationals.  Row reduction
 (`rref`, `rank`, `nullspace`) runs one Gauss-Jordan loop on sparse rows
@@ -17,7 +17,6 @@ form and every nullspace basis is the dense one.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .exact import GaussRat
@@ -39,11 +38,6 @@ def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
     return [[sum((A[i][k] * B[k][j] for k in range(m)), GaussRat(0))
              for j in range(p)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [sum((A[i][k] * v[k] for k in range(len(v))), GaussRat(0))
-            for i in range(len(A))]
 
 
 def _sparse(row) -> dict:
@@ -154,20 +148,6 @@ def nullspace(M, cols: int):
     return basis
 
 
-def mat_inv(A):
-    n = len(A)
-    M = [row[:] + [GaussRat(1) if i == j else GaussRat(0) for j in range(n)]
-         for i, row in enumerate(A)]
-    R, piv = rref(M)
-    if piv[:n] != list(range(n)):
-        raise LieAlgebraError("matrix not invertible")
-    return [row[n:] for row in R]
-
-
-def in_span(v, basis) -> bool:
-    return rank(basis + [v]) == rank(basis)
-
-
 def span_coordinates(rows, m: int):
     """Coordinates x of a target t in the span of m vectors b_k, or None.
 
@@ -223,29 +203,8 @@ class LieAlgebra:
                         out[s] = out[s] + f * self.c[j][k][s]
         return out
 
-    def ad(self, v):
-        """Matrix of ad(v) acting on coordinate vectors."""
-        cols = [self.bracket(v, [GaussRat(1) if i == k else GaussRat(0)
-                                 for i in range(self.dim)])
-                for k in range(self.dim)]
-        return [[cols[k][s] for k in range(self.dim)] for s in range(self.dim)]
-
     def basis_vector(self, k: int):
         return [GaussRat(1) if i == k else GaussRat(0) for i in range(self.dim)]
-
-    def change_basis(self, phi) -> "LieAlgebra":
-        """Structure constants in the basis f_j = sum_s phi[j][s] e_s."""
-        inv = mat_inv(phi)
-        n = self.dim
-        c2 = [[[GaussRat(0)] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                br = self.bracket(phi[j], phi[k])
-                coords = mat_vec([[inv[s][t] for s in range(n)] for t in range(n)], br)
-                for s in range(n):
-                    c2[j][k][s] = coords[s]
-        return LieAlgebra(n, c2)
-
 
 def validate(g: LieAlgebra):
     """Exact check of antisymmetry and the Jacobi identity.
@@ -311,71 +270,6 @@ def center(g: LieAlgebra):
     return nullspace(rows, n)
 
 
-def jordan_partition(A):
-    """Decreasing block-size partition of a nilpotent matrix, via ranks."""
-    n = len(A)
-    ranks = [n]
-    P = [row[:] for row in A]
-    while True:
-        r = rank(P)
-        ranks.append(r)
-        if r == 0:
-            break
-        P = mat_mul(P, A)
-    # part[k-1] = number of blocks of size >= k; multiplicity of size k
-    # is then part[k-1] - part[k]
-    part = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    sizes = []
-    for k in range(1, len(part) + 1):
-        exact = part[k - 1] - (part[k] if k < len(part) else 0)
-        sizes.extend([k] * exact)
-    return tuple(sorted(sizes, reverse=True))
-
-
-#: random small-integer candidates of characteristic_sequence, and their seed
-_CHAR_SEQ_TRIALS = 40
-_CHAR_SEQ_SEED = 7
-
-
-def characteristic_sequence(g: LieAlgebra):
-    """Goze invariant: lexicographically maximal Jordan partition of ad(x)
-    over x outside the derived algebra.
-
-    The supremum is over a Zariski-open set; it is approximated exactly by
-    maximizing over the basis vectors and a bounded family of small-integer
-    combinations (documented heuristic; exact on all classification table
-    members, which the tests verify).  Recognition does not use it: it keys
-    on exact invariants alone (see recognize_dim_le5).
-    """
-    n = g.dim
-    derived = lower_central_series(g)[1]
-    rng = random.Random(_CHAR_SEQ_SEED)
-    candidates = [g.basis_vector(k) for k in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = [GaussRat(0)] * n
-            v[j] = GaussRat(1)
-            v[k] = GaussRat(1)
-            candidates.append(v)
-            w = v[:]
-            w[k] = GaussRat(-1)
-            candidates.append(w)
-    for _ in range(_CHAR_SEQ_TRIALS):
-        candidates.append([GaussRat(rng.randint(-3, 3)) for _ in range(n)])
-    best = None
-    for v in candidates:
-        if all(x.is_zero for x in v):
-            continue
-        if in_span(v, derived):
-            continue
-        part = jordan_partition(g.ad(v))
-        if best is None or part > best:
-            best = part
-    if best is None:
-        raise LieAlgebraError("no candidate outside the derived algebra")
-    return best
-
-
 def _nilpotent_series(g: LieAlgebra) -> list:
     """The lower central series, which ends in the zero space; raises on a
     non-nilpotent algebra."""
@@ -384,19 +278,6 @@ def _nilpotent_series(g: LieAlgebra) -> list:
         raise LieAlgebraError(
             f"not nilpotent: series stabilizes at dim {len(series[-1])}")
     return series
-
-
-def nilpotent_invariants(g: LieAlgebra) -> dict:
-    """Nilindex, kind, series dimensions, center, characteristic sequence."""
-    dims = tuple(len(s) for s in _nilpotent_series(g))
-    kind = len(dims) - 1
-    return {
-        "nilindex": kind + 1,
-        "kind": kind,
-        "series_dims": dims,
-        "center_dim": len(center(g)),
-        "characteristic_sequence": characteristic_sequence(g),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +356,6 @@ def recognize_dim_le5(g: LieAlgebra) -> str:
     return _RECOGNITION_TABLE.get(_recognition_key(g), "unclassified")
 
 
-def verify_isomorphism(phi, g: LieAlgebra, h: LieAlgebra):
-    """Check phi : g -> h is a Lie algebra isomorphism, exactly.
-
-    phi[j][s] are the coordinates of phi(e_j) in h's basis.  Returns "ok" or
-    the residual tensor c^s_{jk} - sum phi_{jl} phi_{km} (phi^{-1})_{ts}
-    ch^t_{lm}.
-    """
-    n = g.dim
-    if h.dim != n:
-        raise LieAlgebraError("dimension mismatch")
-    phi = [[_g(v) for v in row] for row in phi]
-    inv = mat_inv(phi)
-    residual = [[[GaussRat(0)] * n for _ in range(n)] for _ in range(n)]
-    bad = False
-    for j in range(n):
-        for k in range(n):
-            br = h.bracket(phi[j], phi[k])       # [phi(ej), phi(ek)] in h
-            back = mat_vec([[inv[t][s] for t in range(n)] for s in range(n)], br)
-            for s in range(n):
-                r = g.c[j][k][s] - back[s]
-                if not r.is_zero:
-                    residual[j][k][s] = r
-                    bad = True
-    return residual if bad else "ok"
-
-
 # ---------------------------------------------------------------------------
 # graded algebras and prolongation
 # ---------------------------------------------------------------------------
@@ -540,20 +395,6 @@ class GradedAlgebra:
     def depth(self) -> int:
         return -min(self.grading)
 
-    def is_fundamental(self) -> bool:
-        """g_{-k-1} = [g_-1, g_-k] for every k >= 1."""
-        for k in range(1, self.depth):
-            target = self.indices_of_degree(-k - 1)
-            gens = []
-            for i in self.indices_of_degree(-1):
-                for j in self.indices_of_degree(-k):
-                    gens.append(self.algebra.bracket(
-                        self.algebra.basis_vector(i), self.algebra.basis_vector(j)))
-            if rank(gens) != len(target):
-                return False
-        return True
-
-
 @dataclass
 class ProlongationComponent:
     """One non-negative component g_l, as maps on each negative degree."""
@@ -582,17 +423,6 @@ def tanaka_prolong(gm: GradedAlgebra, l_max: int = 6):
         if comp.dim == 0:
             break
     return components
-
-
-def _act_g0(gm: GradedAlgebra, mats, vec):
-    """Action of a g_0 element (one block per degree) on a vector of g_-."""
-    out = [GaussRat(0)] * len(vec)
-    for d, block in mats.items():
-        ids = gm.indices_of_degree(d)
-        img = mat_vec(block, [vec[t] for t in ids])
-        for i, t in enumerate(ids):
-            out[t] = out[t] + img[i]
-    return out
 
 
 def _prolong_step(gm: GradedAlgebra, components, l: int):
@@ -665,7 +495,7 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
             ids = deg_idx[img_deg]
             out = [dict() for _ in range(n)]
             for i, t in enumerate(ids):
-                bb = alg.bracket(alg.basis_vector(t), alg.basis_vector(other_idx))
+                bb = alg.c[t][other_idx]
                 for fu, cf in forms[i].items():
                     for s in range(n):
                         if bb[s].is_zero:
@@ -692,7 +522,7 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
 
     for j in range(n):
         for k in range(j + 1, n):
-            br = alg.bracket(alg.basis_vector(j), alg.basis_vector(k))
+            br = alg.c[j][k]
             # u([ej, ek]); when [ej, ek] = 0 the derivation condition still
             # constrains [u(ej), ek] + [ej, u(ek)] to vanish
             dd = gm.grading[j] + gm.grading[k]
@@ -742,66 +572,3 @@ def _prolong_step(gm: GradedAlgebra, components, l: int):
             maps[d] = [v[o + i * ncols:o + (i + 1) * ncols] for i in range(nrows)]
         basis.append(maps)
     return ProlongationComponent(l, basis)
-
-
-def prolonged_algebra(gm: GradedAlgebra, components=None) -> LieAlgebra:
-    """The full graded algebra g_- + g_0 when the prolongation stops there.
-
-    Brackets: [neg, neg] from the input, [d, x] = d(x) for d in g_0, and
-    [d, e] = matrix commutator for d, e in g_0 (re-expressed in the computed
-    g_0 basis).
-    """
-    comps = components if components is not None else tanaka_prolong(gm)
-    if len(comps) > 1 and comps[1].dim:
-        raise LieAlgebraError("prolonged_algebra supports prolongations that "
-                              "stop at degree zero")
-    alg = gm.algebra
-    n = alg.dim
-    g0 = comps[0]
-    m = g0.dim
-    degrees = sorted(set(gm.grading))
-
-    def flat(mats):
-        row = []
-        for d in degrees:
-            for r in mats[d]:
-                row.extend(r)
-        return row
-
-    basis_flat = [flat(b) for b in g0.basis]
-
-    def g0_coords(mats):
-        target = flat(mats)
-        rows = [[basis_flat[k][c] for k in range(m)] + [target[c]]
-                for c in range(len(target))]
-        coords = span_coordinates(rows, m)
-        if coords is None:
-            raise LieAlgebraError("g0 commutator leaves the computed g0")
-        return coords
-
-    N = n + m
-    c = [[[GaussRat(0)] * N for _ in range(N)] for _ in range(N)]
-    for j in range(n):
-        for k in range(n):
-            for s in range(n):
-                c[j][k][s] = alg.c[j][k][s]
-    for a in range(m):
-        mats = g0.basis[a]
-        for j in range(n):
-            img = _act_g0(gm, mats, alg.basis_vector(j))
-            for s in range(n):
-                c[n + a][j][s] = img[s]
-                c[j][n + a][s] = -img[s]
-    for a in range(m):
-        for b in range(a + 1, m):
-            A, B = g0.basis[a], g0.basis[b]
-            comm = {d: [[sum((A[d][i][k] * B[d][k][j] - B[d][i][k] * A[d][k][j]
-                              for k in range(len(A[d]))), GaussRat(0))
-                         for j in range(len(A[d][0]))] for i in range(len(A[d]))]
-                    for d in A}
-            coords = g0_coords(comm)
-            for s in range(m):
-                c[n + a][n + b][n + s] = coords[s]
-                c[n + b][n + a][n + s] = -coords[s]
-    labels = tuple(gm.algebra.labels) + tuple(f"d{k+1}" for k in range(m))
-    return LieAlgebra(N, c, labels)

@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from crcartan.cli import parse_model_file, rigid_model
 from crcartan.equivalence import Geometry, run_method, run_model_pipeline
 from crcartan.exact import GaussRat, standard_context
 from crcartan.frames import GraphingFunctions, cubic_model
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def bundled_rigid_model(name: str):
+    """The [rigid] block of models/<name>.model, read as the CLI reads it."""
+    return rigid_model(parse_model_file((MODELS / f"{name}.model").read_text(encoding="utf-8")))
 
 
 def phi1_deformation(expr_text):

@@ -210,6 +210,10 @@ def test_bad_input_is_a_parse_error(tmp_path, command, name, text):
     ("autcr", "phi1 = x^2 + y^2\n" + CUBIC_PHIS + "[rigid]\ncodim = 1\n\n"
               "Phi1 = z*zb + z^2*zb^2\n",
      "parse error: line 7: Phi1 is not homogeneous in (z, zb)"),
+    ("tanaka", "dim = 3\ngrading = -1 -1 -2\nJ = e1 -> e3\n[e1, e2] = e3\n",
+     "parse error: line 3: J entry 'e1 -> e3' leaves the degree -1 part"),
+    ("tanaka", "dim = 3\ngrading = -1 -1 -2\nJ = e1 => e2\n[e1, e2] = e3\n",
+     "parse error: line 3: bad J entry 'e1 => e2'"),
 ])
 def test_model_check_names_its_line(tmp_path, command, text, message):
     path = tmp_path / "bad.model"

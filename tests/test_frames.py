@@ -6,8 +6,7 @@ from conftest import quartic_deformation, random_deformation
 from crcartan.exact import GaussRat, I, parse, standard_context
 from crcartan.frames import (FrameError, GraphingFunctions, VectorField,
                              build_frame, cubic_model, efgjk_from_formulas,
-                             frame_derivative, invert_frame,
-                             jacobi_relations_check, lie_bracket,
+                             invert_frame, jacobi_relations_check, lie_bracket,
                              structure_functions)
 
 
@@ -165,7 +164,7 @@ def test_efgjk_against_direct_decomposition():
 
 
 # ---------------------------------------------------------------------------
-# frame_derivative
+# frame fields applied to functions
 # ---------------------------------------------------------------------------
 
 def test_frame_derivative_examples():
@@ -173,9 +172,10 @@ def test_frame_derivative_examples():
     fr13 = build_frame(cubic_model(ctx), "s13")
     sf13 = structure_functions(fr13)
     x, u1, u2 = ctx.vars("x", "u1", "u2")
-    assert frame_derivative(sf13, x, "L") == ctx.one / 2
-    assert frame_derivative(sf13, u1, "T") == ctx.const(4)
-    assert frame_derivative(sf13, u2, "S") == ctx.const(8)
+    fields = sf13.frame.fields()
+    assert fields["L"].apply(x) == ctx.one / 2
+    assert fields["T"].apply(u1) == ctx.const(4)
+    assert fields["S"].apply(u2) == ctx.const(8)
 
 
 def test_frame_derivative_commutator_identity():
