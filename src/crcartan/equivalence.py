@@ -35,8 +35,8 @@ from functools import cached_property
 
 from .coframes import TwoForm, darboux_structure
 from .exact import Context, ExactError, Expr, GaussRat, I
-from .frames import (Frame, FrameError, GraphingFunctions, StructureFunctions,
-                     _solve3, build_frame, cubic_model, structure_functions)
+from .frames import (Frame, GraphingFunctions, StructureFunctions, build_frame,
+                     cubic_model, structure_functions)
 from .liealg import nullspace, rank
 
 PARAMS = ("a", "ab", "b", "bb", "c", "cb", "d", "db", "e", "eb")
@@ -201,19 +201,28 @@ class ExtElem:
         return out
 
     def inverse(self):
-        # columns of multiplication-by-self on the basis (1, A0, A0b)
+        """The first column of adj(m) / det(m), m = multiplication by self.
+
+        m is the matrix of x -> self * x on the basis (1, A0, A0b), so the
+        inverse solves m v = (1, 0, 0): v_k = C_0k / det with C_0k the
+        cofactors of m's first row.  The three cofactors come first, then
+        det = sum_k m_0k C_0k, one inversion of det, and three products.
+        """
         dom = self.dom
         R, Rb, N = dom.R, dom.Rb, dom.N
         p, q, r = self.p, self.q, self.r
         m = [[p, r * N, q * N],
              [q, p, r * Rb],
              [r, q * R, p]]
-        try:
-            sol = _solve3(m, [dom.ctx.one, dom.ctx.zero, dom.ctx.zero], "")
-        except FrameError:
+        c0 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
+        c1 = -(m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        c2 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
+        det = m[0][0] * c0 + m[0][1] * c1 + m[0][2] * c2
+        if det.is_zero:
             raise EquivalenceError("A0 elimination incomplete: "
-                                   "non-invertible element of the extension") from None
-        return ExtElem(dom, sol[0], sol[1], sol[2])
+                                   "non-invertible element of the extension")
+        dinv = det.inverse()
+        return ExtElem(dom, c0 * dinv, c1 * dinv, c2 * dinv)
 
     def __eq__(self, o):
         o = self._coerce(o)
@@ -314,7 +323,13 @@ class Stage:
 
 
 def _lower_tri_inverse(dom, F):
+    """F^-1 by forward substitution, column by column.
+
+    Each pivot is inverted once, up front; every entry of column j is then
+    (e_j - sum_k F_ik col_k) * F_ii^-1, a product and not a division.
+    """
     n = 5
+    dinv = [F[i][i].inverse() for i in range(n)]
     inv = [[dom.zero for _ in range(n)] for _ in range(n)]
     for j in range(n):
         col = [dom.zero] * n
@@ -322,7 +337,7 @@ def _lower_tri_inverse(dom, F):
             rhs = dom.one if i == j else dom.zero
             for k in range(j, i):
                 rhs = rhs - F[i][k] * col[k]
-            col[i] = rhs / F[i][i]
+            col[i] = rhs * dinv[i]
         for i in range(n):
             inv[i][j] = col[i]
     return inv
@@ -338,7 +353,14 @@ def stage_structure(stage: Stage) -> dict[int, TwoForm]:
 
 
 def _torsion_row(stage: Stage, Finv, k: int) -> TwoForm:
-    """sum_l [ (d_base F_kl) ^ theta0_l + F_kl d theta0_l ] on the lifted basis."""
+    """sum_l [ (d_base F_kl) ^ theta0_l + F_kl d theta0_l ] on the lifted basis.
+
+    The sum is collected over the base coframe first, as sum_{i<j} c_ij
+    theta0_i ^ theta0_j.  With theta0_i = sum_m Finv_im theta_m, it is then
+    summed before it is multiplied: V_j[m] = sum_i c_ij Finv_im, the
+    coefficient of theta_m ^ theta0_j, takes one product per (i, j, m), and
+    V_j[m] Finv_jm2 goes into theta_m ^ theta_m2, one product per (j, m, m2).
+    """
     dom = stage.dom
     tf0 = TwoForm()   # over the *base* coframe indices
     for l in range(5):
@@ -350,20 +372,26 @@ def _torsion_row(stage: Stage, Finv, k: int) -> TwoForm:
                     tf0.add_term(w, l, dw)
             for (i, j), c in stage.base_d[l].coeffs.items():
                 tf0.add_term(i, j, fkl * c)
-    # convert theta0_i ^ theta0_j to the lifted basis
-    tf = TwoForm()
-    for (i, j), cexp in tf0.coeffs.items():
+    # V_j[m]: the coefficient of theta_m ^ theta0_j
+    V = {}
+    for (i, j), c in tf0.coeffs.items():
+        vj = V.setdefault(j, [dom.zero] * 5)
         for m in range(5):
             fim = Finv[i][m]
-            if fim.is_zero:
+            if not fim.is_zero:
+                vj[m] = vj[m] + c * fim
+    # convert theta_m ^ theta0_j to the lifted basis
+    tf = TwoForm()
+    for j, vj in V.items():
+        for m in range(5):
+            if vj[m].is_zero:
                 continue
             for m2 in range(5):
                 if m2 == m:
                     continue
                 fjm2 = Finv[j][m2]
-                if fjm2.is_zero:
-                    continue
-                tf.add_term(m, m2, cexp * fim * fjm2)
+                if not fjm2.is_zero:
+                    tf.add_term(m, m2, vj[m] * fjm2)
     return tf
 
 

@@ -15,6 +15,7 @@ from crcartan.exact import GaussRat
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args):
@@ -68,6 +69,20 @@ def test_invariants_quartic_machine_output(quartic_machine_cross_check):
     assert payload["branch"] == "R_nonzero"
     assert len(payload["invariants"]) == 12
     assert all(ok.endswith("pass") for ok in payload["lemma_checks"])
+
+
+@pytest.mark.parametrize("data, args", [
+    ("quartic.invariants.txt", ()),
+    ("quartic.invariants.machine.json", ("--emit", "machine", "--cross-check")),
+])
+def test_invariants_quartic_stdout_is_pinned(data, args):
+    # the R != 0 branch's printed values, byte for byte; an intended change
+    # to this output rewrites the file under tests/data
+    proc = subprocess.run([sys.executable, "-m", "crcartan.cli", "invariants",
+                           "models/quartic.model", *args],
+                          capture_output=True, cwd=ROOT)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / data).read_bytes()
 
 
 def test_invariants_branch_force_mismatch():

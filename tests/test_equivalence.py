@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_deformation
+from crcartan.coframes import TwoForm
 from crcartan.crosscheck import (compare, first_loop_reference,
                                  normalization_reference, rneq0_reference,
                                  second_loop_reference)
@@ -132,6 +133,37 @@ def _quartic_stage_after_a_is_A0(geom):
     edom = ExtDomain(geom.frame, geom.sf.R)
     F = [[_ext_subs_a(edom, v.subs(sub)) for v in row] for row in ts.stage.F]
     return Stage(edom, F, [d.map(edom.lift) for d in geom.base_d])
+
+
+def torsion_row_term_by_term(stage, Finv, k):
+    """_torsion_row's reference: one product c_ij Finv_im Finv_jm2 per term."""
+    dom = stage.dom
+    tf0 = TwoForm()
+    for l in range(5):
+        fkl = stage.F[k][l]
+        for w in range(5):
+            tf0.add_term(w, l, dom.frame_apply(w, fkl))
+        for (i, j), c in stage.base_d[l].coeffs.items():
+            tf0.add_term(i, j, fkl * c)
+    tf = TwoForm()
+    for (i, j), c in tf0.coeffs.items():
+        for m in range(5):
+            for m2 in range(5):
+                tf.add_term(m, m2, c * Finv[i][m] * Finv[j][m2])
+    return tf
+
+
+def test_torsion_row_matches_the_term_by_term_conversion(r_zero_geometry,
+                                                         quartic_geometry):
+    for stage in (initial_stage(r_zero_geometry),
+                  _quartic_stage_after_a_is_A0(quartic_geometry)):
+        for k in range(5):
+            got = _torsion_row(stage, stage.Finv, k)
+            ref = torsion_row_term_by_term(stage, stage.Finv, k)
+            assert got.coeffs, k
+            assert set(got.coeffs) == set(ref.coeffs), k
+            for ij, c in got.coeffs.items():
+                assert c == ref.coeffs[ij], (k, ij)
 
 
 def test_barred_structure_equations_are_conjugates(r_zero_geometry, quartic_geometry):
@@ -282,6 +314,55 @@ def test_ext_domain_relations(quartic_geometry):
         edom.one * 0.5
     with pytest.raises(TypeError):
         1.5 / edom.one
+
+
+def test_ext_inverse_on_derandomized_elements(quartic_geometry):
+    # x * x^-1 == 1 on elements p + q A0 + r A0b whose coordinates are small
+    # polynomials in x, y; the first three are a base-field element and pure
+    # A0 and A0b multiples
+    edom = ExtDomain(quartic_geometry.frame, quartic_geometry.sf.R)
+    ctx = edom.ctx
+    x, y = ctx.vars("x", "y")
+    monomials = (ctx.one, x, y, x * y, x * x)
+    rng = random.Random(26)
+
+    def coordinate():
+        out = ctx.zero
+        for mono in monomials:
+            if rng.random() < 0.5:
+                out = out + mono * GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                            rng.randint(-2, 2))
+        return out if not out.is_zero else ctx.one
+
+    elements = [edom.lift(coordinate()), edom.A0 * coordinate(),
+                edom.A0b * coordinate()]
+    while len(elements) < 20:
+        elements.append(edom.lift(coordinate()) + edom.A0 * coordinate()
+                        + edom.A0b * coordinate())
+    for k, el in enumerate(elements):
+        assert el * el.inverse() == edom.one, (k, el)
+
+
+def test_ext_inverse_refuses_a_zero_divisor(quartic_geometry):
+    # with R = 1, R^2 Rb = 1 is a cube and the extension splits: A0 - 1
+    # divides A0^3 - 1 = 0, so it has no inverse
+    edom = ExtDomain(quartic_geometry.frame, quartic_geometry.frame.ctx.one)
+    with pytest.raises(EquivalenceError, match="A0 elimination incomplete"):
+        (edom.A0 - 1).inverse()
+
+
+def test_lower_tri_inverse_is_an_inverse(quartic_geometry):
+    # Finv . F == I entry by entry, on a plain stage and on an extension stage
+    for stage in (initial_stage(quartic_geometry),
+                  _quartic_stage_after_a_is_A0(quartic_geometry)):
+        dom, F = stage.dom, stage.F
+        Finv = _lower_tri_inverse(dom, F)
+        for i in range(5):
+            for j in range(5):
+                entry = dom.zero
+                for k in range(5):
+                    entry = entry + Finv[i][k] * F[k][j]
+                assert entry == (dom.one if i == j else dom.zero), (i, j)
 
 
 def test_branch_rneq0_invariants(quartic_geometry, quartic_report):

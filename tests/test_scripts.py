@@ -1,9 +1,11 @@
 """The scripts under scripts/ still match the library they call."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name: str):
@@ -25,3 +27,20 @@ def test_scan_classifies_a_basic_entry(capsys):
     rep = scan.classify(scan.pair_deformation(deltas), "z**4*zb")
     assert rep.case == "(i)"
     assert "R == 0 case (i)" in capsys.readouterr().out
+
+
+def test_stdout_digest_on_the_bundled_models(capsys):
+    digest = load_script("stdout_digest")
+    models = ROOT / "models"
+    assert digest.main([str(models)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 * len(list(models.glob("*.model")))
+    by_command = {}
+    for line in lines:
+        sha, command, code = line.split("  ")
+        assert len(sha) == 64 and code == "(exit 0)", line
+        by_command[command.replace(str(models), "models")] = sha
+    # the digest of a command is the sha256 of its stdout
+    pinned = ROOT / "tests" / "data" / "quartic.invariants.txt"
+    assert (by_command["invariants models/quartic.model"]
+            == hashlib.sha256(pinned.read_bytes()).hexdigest())
