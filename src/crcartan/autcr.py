@@ -180,13 +180,56 @@ class AutAlgebra:
     algebra: LieAlgebra
 
 
+def _tangency_rows(m: RigidModel, monos: list) -> dict:
+    """The coefficient extraction of the tangency identities on the ansatz.
+
+    Returns {(j, monomial, "re" | "im"): {column: nonzero GaussRat}}: the
+    real or imaginary part of one coefficient of identity j, as a linear form
+    in the unknowns.  Column 2 * (c * len(monos) + k) is the real part of the
+    coefficient of monomial k in component c, one past it the imaginary part.
+    The residual is R-linear in the field and a monomial mu has coefficient
+    1, so S = mu(w = wb + 2i Phi) and C = conj(mu) give all its columns:
+    Z = u mu adds -2i (u S dPhi_j/dz + conj(u) C dPhi_j/dzb) to identity j,
+    and W^j = u mu adds u S - conj(u) C to identity j alone (u = 1, i).
+    """
+    ctx = m.ctx
+    i = ctx.const(I)
+    minus_2i = ctx.const(-2 * I)
+    sub = _substitution(m)
+    dz = [phi.diff("z") for phi in m.Phi]
+    dzb = [phi.diff("zb") for phi in m.Phi]
+    nm = len(monos)
+    rows: dict = {}
+
+    def add(col: int, j: int, r: Expr):
+        for mon, g in r.numerator().terms().items():
+            re, im = g.parts()
+            if not re.is_zero:
+                rows.setdefault((j, mon, "re"), {})[col] = re
+            if not im.is_zero:
+                rows.setdefault((j, mon, "im"), {})[col] = im
+
+    for k, mono in enumerate(monos):
+        S, C = mono.subs(sub), mono.conj()
+        for j in range(m.codim):
+            A, B = S * dz[j], C * dzb[j]
+            add(2 * k, j, minus_2i * (A + B))
+            add(2 * k + 1, j, 2 * (A - B))
+            w = 2 * ((j + 1) * nm + k)
+            add(w, j, S - C)
+            add(w + 1, j, i * (S + C))
+    return rows
+
+
 def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebra:
     """Exact nullspace of the tangency constraints on a bounded ansatz.
 
     The ansatz takes every monomial of weighted degree <= weight_bound in
     each component; unknown coefficients are split into real and imaginary
     rational parts, so the solution space is the real algebra of
-    infinitesimal automorphisms (intersected with the ansatz).
+    infinitesimal automorphisms (intersected with the ansatz).  Every solved
+    field is checked against `tangency_residuals` before its brackets are
+    taken.
     """
     ctx = m.ctx
     if weight_bound is None:
@@ -200,36 +243,7 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
         raise AutCRError("empty ansatz")
     ncomp = 1 + m.codim
     nm = len(monos)
-    # unknowns: for component c and monomial k: re -> 2*(c*nm+k), im -> +1
-    nunk = 2 * ncomp * nm
-    i_unit = ctx.const(I)
-    sub = _substitution(m)
-
-    # tangency residual is linear in the field; collect per-unknown columns
-    rows_by_key: dict = {}
-
-    def add(col: int, key, coeff: GaussRat):
-        if coeff.is_zero:
-            return
-        row = rows_by_key.setdefault(key, {})
-        row[col] = row.get(col, GaussRat(0)) + coeff
-
-    for c in range(ncomp):
-        for k, mono in enumerate(monos):
-            base = 2 * (c * nm + k)
-            for unit, off in ((ctx.one, 0), (i_unit, 1)):
-                coeff_field = HolField(
-                    ctx,
-                    unit * mono if c == 0 else ctx.zero,
-                    tuple(unit * mono if c == j + 1 else ctx.zero
-                          for j in range(m.codim)))
-                res = tangency_residuals(coeff_field, m)
-                for j, r in enumerate(res):
-                    for mon, g in r.numerator().terms().items():
-                        add(base + off, (j, mon, "re"), GaussRat(g.re))
-                        add(base + off, (j, mon, "im"), GaussRat(g.im))
-
-    sols = nullspace(list(rows_by_key.values()), nunk)
+    sols = nullspace(list(_tangency_rows(m, monos).values()), 2 * ncomp * nm)
 
     basis = []
     for v in sols:
@@ -240,42 +254,55 @@ def solve_rigid_aut(m: RigidModel, weight_bound: int | None = None) -> AutAlgebr
                 re = v[2 * (c * nm + k)]
                 im = v[2 * (c * nm + k) + 1]
                 if not (re.is_zero and im.is_zero):
-                    e = e + ctx.const(GaussRat(re.re, im.re)) * mono
+                    e = e + ctx.const(re + im * I) * mono
             comps.append(e)
-        basis.append(HolField(ctx, comps[0], tuple(comps[1:])))
+        X = HolField(ctx, comps[0], tuple(comps[1:]))
+        if not all(r.is_zero for r in tangency_residuals(X, m)):
+            raise AutCRError(f"solved field {X} is not tangent")
+        basis.append(X)
     alg = _structure_constants(m, basis, weight_bound)
     return AutAlgebra(m, basis, alg)
 
 
-def _field_coordinates(basis: list, X: HolField):
-    """Real coordinates of X in span_R(basis); None if X is outside."""
+def _field_coordinates(basis: list, fields: list) -> list:
+    """Real coordinates in span_R(basis) of each field; None for one outside.
+
+    One sparse system holds the basis and every field, keyed by component,
+    monomial and real or imaginary part, and one elimination serves them
+    all.
+    """
     keyed: dict = {}
-    for bi, b in enumerate(basis + [X]):
+    for bi, b in enumerate(basis + fields):
         for c, comp in enumerate(b.components()):
             for mon, g in comp.numerator().terms().items():
-                keyed.setdefault((c, mon, "re"), {})[bi] = GaussRat(g.re)
-                keyed.setdefault((c, mon, "im"), {})[bi] = GaussRat(g.im)
-    return span_coordinates(list(keyed.values()), len(basis))
+                re, im = g.parts()
+                if not re.is_zero:
+                    keyed.setdefault((c, mon, "re"), {})[bi] = re
+                if not im.is_zero:
+                    keyed.setdefault((c, mon, "im"), {})[bi] = im
+    return span_coordinates(list(keyed.values()), len(basis), len(fields))
 
 
 def _structure_constants(m: RigidModel, basis: list, weight_bound: int) -> LieAlgebra:
     n = len(basis)
-    c = [[[GaussRat(0)] * n for _ in range(n)] for _ in range(n)]
+    pairs, brackets = [], []
     for i in range(n):
         for j in range(i + 1, n):
             br = basis[i].bracket(basis[j])
-            if br.is_zero:
-                continue
-            coords = _field_coordinates(basis, br)
-            if coords is None:
-                raise AutCRError(
-                    "bracket leaves the solution span: weight bound "
-                    f"{weight_bound} too small")
-            for s in range(n):
-                if not coords[s].is_real:
-                    raise AutCRError("non-real structure constant")
-                c[i][j][s] = coords[s]
-                c[j][i][s] = -coords[s]
+            if not br.is_zero:
+                pairs.append((i, j))
+                brackets.append(br)
+    c = [[[GaussRat(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coords in zip(pairs, _field_coordinates(basis, brackets)):
+        if coords is None:
+            raise AutCRError(
+                "bracket leaves the solution span: weight bound "
+                f"{weight_bound} too small")
+        for s in range(n):
+            if not coords[s].is_real:
+                raise AutCRError("non-real structure constant")
+            c[i][j][s] = coords[s]
+            c[j][i][s] = -coords[s]
     return LieAlgebra(n, c)
 
 

@@ -17,7 +17,10 @@ COFRAME_NAMES = ("sigma_bar", "sigma", "rho", "zeta_bar", "zeta")
 
 
 class TwoForm:
-    """Sparse 2-form: {(i, j): coeff} with i < j over a 5-element basis."""
+    """Sparse 2-form: {(i, j): coeff} with i < j over a 5-element basis.
+
+    A coefficient is an `Expr` or an `ExtElem`; both answer `is_zero`.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -35,7 +38,7 @@ class TwoForm:
             c = -c
         cur = self.coeffs.get((i, j))
         tot = c if cur is None else cur + c
-        if getattr(tot, "is_zero", tot == 0):
+        if tot.is_zero:
             self.coeffs.pop((i, j), None)
         else:
             self.coeffs[(i, j)] = tot
@@ -89,7 +92,7 @@ class ThreeForm:
             c = -c
         cur = self.coeffs.get(key)
         tot = c if cur is None else cur + c
-        if getattr(tot, "is_zero", tot == 0):
+        if tot.is_zero:
             self.coeffs.pop(key, None)
         else:
             self.coeffs[key] = tot

@@ -106,9 +106,10 @@ class GaussRat:
     The same convention as a kernel coefficient: a, b and d are Python ints
     with d > 0 and gcd(a, b, d) = 1, so zero is 0/1 and equality is
     structural.  Each operation takes one gcd of its result, not one per
-    component.  `re` and `im` are the components as Fractions, read-only;
-    code outside this module goes through them and the arithmetic.  A real
-    value is `==` to, and hashes like, the int or Fraction it equals.
+    component.  `re` and `im` are the components as Fractions, read-only,
+    and `parts()` gives them as real GaussRats; code outside this module
+    goes through these and the arithmetic.  A real value is `==` to, and
+    hashes like, the int or Fraction it equals.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -134,6 +135,11 @@ class GaussRat:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def parts(self) -> tuple["GaussRat", "GaussRat"]:
+        """(real part, imaginary part) as real GaussRats, with no Fraction."""
+        d = self._d
+        return _gr_reduced(self._a, 0, d), _gr_reduced(self._b, 0, d)
 
     def conj(self) -> "GaussRat":
         return _gr(self._a, -self._b, self._d)

@@ -148,18 +148,32 @@ def nullspace(M, cols: int):
     return basis
 
 
-def span_coordinates(rows, m: int):
-    """Coordinates x of a target t in the span of m vectors b_k, or None.
+def span_coordinates(rows, m: int, targets: int) -> list:
+    """Coordinates x of each of `targets` vectors t_s in the span of m
+    vectors b_k; one list per target, None for a target outside the span.
 
-    Row c of `rows` is [b_1[c], ..., b_m[c], t[c]], as a dense list or as a
-    sparse {k: value} dict; a nullspace vector v of that system with
-    v[m] != 0 gives t = sum_k (-v[k] / v[m]) b_k.
+    Row c of `rows` is [b_0[c], ..., b_{m-1}[c], t_0[c], t_1[c], ...], as a
+    dense list or as a sparse {k: value} dict.  One elimination serves every
+    target: column m + s of the reduced rows writes t_s as a combination of
+    the pivot columns, so t_s lies in the span iff no row with its pivot at
+    a target column is nonzero there, and then x_k is the entry in the row
+    with pivot k (0 for a b_k that is no pivot).
     """
-    for v in nullspace(rows, m + 1):
-        if not v[m].is_zero:
-            f = GaussRat(-1) / v[m]
-            return [x * f for x in v[:m]]
-    return None
+    R, piv = _eliminate(rows)
+    zero = GaussRat(0)
+    out = []
+    for t in range(m, m + targets):
+        coords = [zero] * m
+        for row, pc in zip(R, piv):
+            x = row.get(t)
+            if x is None:
+                continue
+            if pc >= m:
+                coords = None
+                break
+            coords[pc] = x
+        out.append(coords)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_05_aut_cr_cubic():
     gens = cubic_generators(m.ctx)
     tangent_ok = all(r.is_zero for X in gens.values() for r in tangency_residuals(X, m))
     order = ("S2", "S1", "T", "L2", "L1", "D", "R")
-    phi = [_field_coordinates(alg.basis, gens[nm]) for nm in order]
+    phi = _field_coordinates(alg.basis, [gens[nm] for nm in order])
     iso_ok = (None not in phi and
               change_basis(alg.algebra, phi).c == aut_table_algebra().c)
     _report(5, len(alg.basis) == 7 and tangent_ok and iso_ok,

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import bundled_rigid_model
+import crcartan.autcr as autcr
 from crcartan.autcr import (AutCRError, HolField, RigidModel, field_weight,
                             rigid_context, solve_rigid_aut, symbol_algebra,
-                            tangency_residuals, _field_coordinates)
+                            tangency_residuals, _ansatz_monomials, _field_coordinates,
+                            _tangency_rows)
 from crcartan.exact import GaussRat, I
-from crcartan.liealg import recognize_dim_le5, validate
+from crcartan.liealg import nullspace, recognize_dim_le5, validate
 from test_liealg import change_basis
 
 
@@ -88,11 +92,9 @@ def test_cubic_table_isomorphic_to_expected(cubic_aut):
     from test_equivalence import aut_table_algebra
     gens = cubic_generators(cubic_aut.model.ctx)
     order = ("S2", "S1", "T", "L2", "L1", "D", "R")
-    phi = []
-    for nm in order:
-        coords = _field_coordinates(cubic_aut.basis, gens[nm])
+    phi = _field_coordinates(cubic_aut.basis, [gens[nm] for nm in order])
+    for nm, coords in zip(order, phi):
         assert coords is not None, f"{nm} outside the solved span"
-        phi.append(coords)
     assert change_basis(cubic_aut.algebra, phi).c == aut_table_algebra().c
 
 
@@ -132,7 +134,7 @@ def test_heisenberg_solver():
     scaling = HolField(ctx, z, (2 * w1,))
     for X in (dw, scaling):
         assert tangent(X, alg.model)
-        assert _field_coordinates(alg.basis, X) is not None
+    assert None not in _field_coordinates(alg.basis, [dw, scaling])
     # the full sphere algebra needs weight 4 monomials in the ansatz
     alg4 = solve_rigid_aut(bundled_rigid_model("heisenberg"))
     assert len(alg4.basis) == 8
@@ -147,3 +149,100 @@ def test_weight_bound_guard():
 def test_doubling_bound_does_not_grow_solution(cubic_aut):
     alg6 = solve_rigid_aut(bundled_rigid_model("cubic"), 6)
     assert len(alg6.basis) == len(cubic_aut.basis) == 7
+
+
+# ---------------------------------------------------------------------------
+# the assembly against a per-column reference
+# ---------------------------------------------------------------------------
+
+def reference_tangency_rows(m, monos):
+    """_tangency_rows by one `tangency_residuals` call per unknown column."""
+    ctx = m.ctx
+    nm = len(monos)
+    rows = {}
+    for c in range(1 + m.codim):
+        for k, mono in enumerate(monos):
+            for unit, off in ((ctx.one, 0), (ctx.const(I), 1)):
+                col = 2 * (c * nm + k) + off
+                comps = [unit * mono if c == t else ctx.zero for t in range(1 + m.codim)]
+                X = HolField(ctx, comps[0], tuple(comps[1:]))
+                for j, r in enumerate(tangency_residuals(X, m)):
+                    for mon, g in r.numerator().terms().items():
+                        for part, v in (("re", g.re), ("im", g.im)):
+                            if v:
+                                rows.setdefault((j, mon, part), {})[col] = GaussRat(v)
+    return rows
+
+
+def cubic_linear_image():
+    """The cubic rigid model under z -> lam z, w1 -> r w1, (w2, w3) -> M (w2, w3)."""
+    m = bundled_rigid_model("cubic")
+    ctx = m.ctx
+    z, zb = ctx.vars("z", "zb")
+    lam = GaussRat(Fraction(1, 2), -1)
+    sub = {"z": z * ctx.const(1 / lam), "zb": zb * ctx.const(1 / lam.conj())}
+    P1, P2, P3 = (P.subs(sub) for P in m.Phi)
+    return RigidModel(ctx, (-2 * P1, P2 / 3 - P3, 2 * P2 + P3 / 2))
+
+
+def fixed_rigid_model():
+    """A codim-2 rigid model with small fixed coefficients, weights 2 and 4."""
+    ctx = rigid_context(2)
+    z, zb = ctx.vars("z", "zb")
+    i = ctx.const(I)
+    Phi2 = (Fraction(-1, 3) * (z ** 3 * zb + z * zb ** 3) + 2 * z ** 2 * zb ** 2
+            + i / 2 * (z ** 3 * zb - z * zb ** 3))
+    return RigidModel(ctx, (Fraction(1, 2) * z * zb, Phi2))
+
+
+def scaled_sphere():
+    ctx = rigid_context(1)
+    z, zb = ctx.vars("z", "zb")
+    return RigidModel(ctx, (Fraction(-1, 3) * z * zb,))
+
+
+ASSEMBLY_CASES = {
+    "cubic-wb3": (lambda: bundled_rigid_model("cubic"), 3),
+    "heisenberg-wb2": (lambda: bundled_rigid_model("heisenberg"), 2),
+    "heisenberg-wb4": (lambda: bundled_rigid_model("heisenberg"), 4),
+    "scaled-sphere-wb4": (scaled_sphere, 4),
+    "cubic-image-wb3": (cubic_linear_image, 3),
+    "fixed-codim2-wb4": (fixed_rigid_model, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_tangency_rows_match_per_column_reference(case):
+    build, wb = ASSEMBLY_CASES[case]
+    m = build()
+    monos = _ansatz_monomials(m, wb)
+    assert _tangency_rows(m, monos) == reference_tangency_rows(m, monos)
+
+
+def test_cubic_image_keeps_the_cubic_algebra():
+    alg = solve_rigid_aut(cubic_linear_image(), 3)
+    assert len(alg.basis) == 7 and validate(alg.algebra) == "ok"
+
+
+def test_non_tangent_solution_is_rejected(monkeypatch):
+    def bad_nullspace(rows, cols):
+        sols = nullspace(rows, cols)
+        # column 0 is the real coefficient of 1 in Z: the field d/dz
+        sols[0] = [GaussRat(int(k == 0)) for k in range(cols)]
+        return sols
+
+    monkeypatch.setattr(autcr, "nullspace", bad_nullspace)
+    with pytest.raises(AutCRError, match=r"solved field \(1\) d/dz is not tangent"):
+        solve_rigid_aut(bundled_rigid_model("heisenberg"), 2)
+
+
+@pytest.mark.parametrize("name, wb", [("cubic", 3), ("heisenberg", 4)])
+def test_one_elimination_matches_per_bracket_coordinates(name, wb):
+    alg = solve_rigid_aut(bundled_rigid_model(name), wb)
+    basis, n = alg.basis, len(alg.basis)
+    for a in range(n):
+        for b in range(a + 1, n):
+            br = basis[a].bracket(basis[b])
+            (coords,) = _field_coordinates(basis, [br])
+            assert alg.algebra.c[a][b] == coords, (a, b)
+

@@ -139,6 +139,13 @@ def test_autcr_minimal_bound_error():
     assert "below the model" in err
 
 
+def test_autcr_bracket_outside_the_ansatz_error():
+    rc, out, err = run_cli("autcr", str(MODELS / "heisenberg.model"),
+                           "--weight-bound", "3")
+    assert rc == 3 and out == ""
+    assert "bracket leaves the solution span: weight bound 3 too small" in err
+
+
 def test_tanaka_n5_4():
     rc, out, _ = run_cli("tanaka", str(MODELS / "n5_4.alg"))
     assert rc == 0

@@ -84,6 +84,8 @@ def test_gaussrat_against_fraction_pairs(r1, i1, r2, i2, k):
     p, q = GaussRat(r1, i1), GaussRat(r2, i2)
     assert _canonical(p) and _canonical(q)
     assert (p.re, p.im) == (r1, i1)
+    # parts() gives the same components as canonical real GaussRats
+    assert [(_canonical(x), x.re, x.im) for x in p.parts()] == [(True, r1, 0), (True, i1, 0)]
     ops = {"+": p + q, "-": p - q, "*": p * q}
     if not q.is_zero:
         ops["/"] = p / q

@@ -165,7 +165,7 @@ def prolonged_algebra(gm: GradedAlgebra, components=None) -> LieAlgebra:
         target = flat(mats)
         rows = [[basis_flat[k][c] for k in range(m)] + [target[c]]
                 for c in range(len(target))]
-        coords = span_coordinates(rows, m)
+        (coords,) = span_coordinates(rows, m, 1)
         if coords is None:
             raise LieAlgebraError("g0 commutator leaves the computed g0")
         return coords
@@ -406,6 +406,39 @@ def test_nullspace_of_random_sparse_matrices(rows, cols):
         assert len(basis) == cols - rank
         for v in basis:
             assert all(x.is_zero for x in mat_vec(M, v))
+
+
+def _span_reference(rows, m):
+    """One target through `nullspace`: v with v[m] != 0 gives t = sum_k (-v[k] / v[m]) b_k."""
+    for v in LA.nullspace(rows, m + 1):
+        if not v[m].is_zero:
+            return [-x / v[m] for x in v[:m]]
+    return None
+
+
+def test_span_coordinates_of_several_targets():
+    one, zero = GaussRat(1), GaussRat(0)
+    # b = e1; t1 = e2 is outside, t2 = 2 e1 inside, t3 = 2 e2 a multiple of t1 only
+    rows = [[one, zero, 2 * one, zero], [zero, one, zero, 2 * one], [zero] * 4]
+    assert span_coordinates(rows, 1, 3) == [None, [2 * one], None]
+
+
+@pytest.mark.parametrize("rows, m, targets", [(4, 2, 3), (9, 4, 5), (12, 6, 6)])
+def test_span_coordinates_match_one_target_reference(rows, m, targets):
+    rng = random.Random(rows * 10 + m)
+    for trial in range(8):
+        M = _random_sparse(rng, rows, m + targets, rank_deficient=trial % 2 == 1)
+        for s in range(1, targets, 2):
+            # every other target is a combination of the b_k, so it lies in the span
+            a = [GaussRat(rng.randint(-2, 2)) for _ in range(m)]
+            for row in M:
+                row[m + s] = sum((x * y for x, y in zip(a, row[:m])), GaussRat(0))
+        got = span_coordinates(M, m, targets)
+        assert len(got) == targets
+        for s in range(targets):
+            want = _span_reference([row[:m] + [row[m + s]] for row in M], m)
+            assert got[s] == want, (trial, s)
+        assert all(got[s] is not None for s in range(1, targets, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,21 @@ def test_stdout_digest_on_the_bundled_models(capsys):
     models = ROOT / "models"
     assert digest.main([str(models)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * len(list(models.glob("*.model")))
-    by_command = {}
+    model_files = list(models.glob("*.model"))
+    rigid = [p for p in model_files if digest.has_rigid_block(p)]
+    assert len(rigid) == 2
+    assert len(lines) == (3 * len(model_files) + 3 * len(rigid)
+                          + len(list(models.glob("*.alg"))))
+    by_command, codes = {}, {}
     for line in lines:
         sha, command, code = line.split("  ")
-        assert len(sha) == 64 and code == "(exit 0)", line
-        by_command[command.replace(str(models), "models")] = sha
+        assert len(sha) == 64, line
+        command = command.replace(str(models), "models")
+        by_command[command], codes[command] = sha, code
+    # weight bound 3 is too small for the sphere: the one diagnostic exit
+    assert {c: code for c, code in codes.items() if code != "(exit 0)"} == {
+        "autcr models/heisenberg.model --weight-bound 3": "(exit 3)"}
+    assert "tanaka models/n5_4.alg" in by_command
     # the digest of a command is the sha256 of its stdout
     pinned = ROOT / "tests" / "data" / "quartic.invariants.txt"
     assert (by_command["invariants models/quartic.model"]
