@@ -94,16 +94,24 @@ class HolField:
     def components(self) -> tuple:
         return (self.Z,) + tuple(self.W)
 
-    def apply(self, f: Expr) -> Expr:
-        out = self.Z * f.diff("z")
-        for j, wj in enumerate(self.W, start=1):
-            out = out + wj * f.diff(f"w{j}")
-        return out
+    def partials(self) -> tuple:
+        """(d/dz, d/dw1, ...) of each component, computed once per field."""
+        jac = self.__dict__.get("_jac")
+        if jac is None:
+            names = ["z"] + [f"w{j}" for j in range(1, len(self.W) + 1)]
+            jac = self.__dict__["_jac"] = tuple(
+                tuple(c.diff(n) for n in names) for c in self.components())
+        return jac
 
     def bracket(self, other: "HolField") -> "HolField":
+        """[X, Y]^c = sum_v X^v d_v Y^c - Y^v d_v X^c."""
+        X, Y = self.components(), other.components()
         comps = []
-        for a, b in zip(self.components(), other.components()):
-            comps.append(self.apply(b) - other.apply(a))
+        for dX, dY in zip(self.partials(), other.partials()):
+            c = self.ctx.zero
+            for x, y, dx, dy in zip(X, Y, dX, dY):
+                c = c + x * dy - y * dx
+            comps.append(c)
         return HolField(self.ctx, comps[0], tuple(comps[1:]))
 
     @property

@@ -73,29 +73,13 @@ class TwoForm:
 
 
 class ThreeForm:
-    """Sparse 3-form over sorted index triples; transient (d o d checks)."""
+    """Sparse 3-form {(i, j, k): coeff} over sorted index triples; transient
+    (d o d checks)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self):
-        self.coeffs = {}
-
-    def add_term(self, idx, c) -> None:
-        i, j, k = idx
-        if len({i, j, k}) < 3:
-            return
-        perm = sorted(((v, p) for p, v in enumerate(idx)))
-        order = tuple(p for _, p in perm)
-        sign = _perm_sign(order)
-        key = tuple(v for v, _ in perm)
-        if sign < 0:
-            c = -c
-        cur = self.coeffs.get(key)
-        tot = c if cur is None else cur + c
-        if tot.is_zero:
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = tot
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     @property
     def is_zero(self) -> bool:
@@ -145,19 +129,28 @@ def d_of_function(f: Frame, h: Expr) -> list[Expr]:
 
 
 def d_squared_check(expansions: list[TwoForm], f: Frame) -> list[ThreeForm]:
-    """Apply d once more and collect d(d omega^k); identically zero always."""
+    """Apply d once more and collect d(d omega^k); identically zero always.
+
+    The terms of each 3-form coefficient are collected first and summed once.
+    """
     out = []
     for k in range(5):
-        tf = ThreeForm()
+        terms: dict[tuple, list] = {}
         for (i, j), coeff in expansions[k].coeffs.items():
-            dc = d_of_function(f, coeff)
-            for m in range(5):
-                if not dc[m].is_zero:
-                    tf.add_term((m, i, j), dc[m])
+            for m, dc in enumerate(d_of_function(f, coeff)):
+                _collect(terms, (m, i, j), dc)
             # + coeff * d(omega^i) ^ omega^j - coeff * omega^i ^ d(omega^j)
             for (p, q), c2 in expansions[i].coeffs.items():
-                tf.add_term((p, q, j), coeff * c2)
+                _collect(terms, (p, q, j), coeff, c2)
             for (p, q), c2 in expansions[j].coeffs.items():
-                tf.add_term((i, p, q), -(coeff * c2))
-        out.append(tf)
+                _collect(terms, (i, p, q), -1, coeff, c2)
+        sums = {key: f.ctx.sum(*ts) for key, ts in terms.items()}
+        out.append(ThreeForm({key: c for key, c in sums.items() if not c.is_zero}))
     return out
+
+
+def _collect(terms: dict, idx: tuple, *factors) -> None:
+    """File the product of the factors at e_idx under the sorted triple."""
+    if len(set(idx)) == 3:
+        term = factors if _perm_sign(idx) > 0 else (-1,) + factors
+        terms.setdefault(tuple(sorted(idx)), []).append(term)

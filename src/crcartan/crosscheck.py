@@ -22,141 +22,131 @@ def first_loop_reference(sf: StructureFunctions) -> dict[str, Expr]:
     E, F, G, J, K = sf.E, sf.F, sf.G, sf.J, sf.K
     Pb, Qb, Rb, Bb = P.conj(), Q.conj(), R.conj(), B.conj()
     Eb, Fb, Gb, Kb = E.conj(), F.conj(), G.conj(), K.conj()
+    inverses = {}
 
+    def over(p, q):
+        """1 / (a^p ab^q)."""
+        if (p, q) not in inverses:
+            inverses[p, q] = 1 / (a ** p * ab ** q)
+        return inverses[p, q]
+
+    # each tuple is one term of the paper, its factors multiplied in the sum
     ref = {}
-    ref["U1"] = (-K / (a * ab ** 2) - cb * F / (a ** 2 * ab ** 3)
-                 + b * cb * Q / (a ** 3 * ab ** 3) - db * Q / (a ** 2 * ab ** 2)
-                 + bb * cb * B / (a ** 2 * ab ** 4) - eb * B / (a * ab ** 3)
-                 + c * Gb / (a ** 2 * ab ** 3) - b * c * B / (a ** 3 * ab ** 3)
-                 + e * B / (a ** 2 * ab ** 2) - bb * c * Rb / (a ** 2 * ab ** 4)
-                 + d * Rb / (a * ab ** 3) + c * db / (a ** 3 * ab ** 3)
-                 - cb * e / (a ** 3 * ab ** 3))
-    ref["U2"] = (F / (a * ab) - b * Q / (a ** 2 * ab) - bb * B / (a * ab ** 2)
-                 + e / (a ** 2 * ab))
-    ref["U3"] = Q / a - c / (a ** 2 * ab)
+    ref["U1"] = ctx.sum((-1, K, over(1, 2)), (-1, cb, F, over(2, 3)),
+                        (b, cb, Q, over(3, 3)), (-1, db, Q, over(2, 2)),
+                        (bb, cb, B, over(2, 4)), (-1, eb, B, over(1, 3)),
+                        (c, Gb, over(2, 3)), (-1, b, c, B, over(3, 3)),
+                        (e, B, over(2, 2)), (-1, bb, c, Rb, over(2, 4)),
+                        (d, Rb, over(1, 3)), (c, db, over(3, 3)),
+                        (-1, cb, e, over(3, 3)))
+    ref["U2"] = ctx.sum((F, over(1, 1)), (-1, b, Q, over(2, 1)),
+                        (-1, bb, B, over(1, 2)), (e, over(2, 1)))
+    ref["U3"] = ctx.sum((Q, over(1, 0)), (-1, c, over(2, 1)))
     ref["U4"] = B / ab
-    ref["U5"] = (Gb / ab ** 2 - b * B / (a * ab ** 2) - bb * Rb / ab ** 3
-                 + db / (a * ab ** 2))
-    ref["U6"] = B / ab - cb / (a * ab ** 2)
+    ref["U5"] = ctx.sum((Gb, over(0, 2)), (-1, b, B, over(1, 2)),
+                        (-1, bb, Rb, over(0, 3)), (db, over(1, 2)))
+    ref["U6"] = ctx.sum((B, over(0, 1)), (-1, cb, over(1, 2)))
     ref["U7"] = a * Rb / ab ** 2
 
-    v1 = (-c * K / (a ** 3 * ab ** 3) - c * cb * F / (a ** 4 * ab ** 4)
-          + b * c * cb * Q / (a ** 5 * ab ** 4) - c * db * Q / (a ** 4 * ab ** 3)
-          + bb * c * cb * B / (a ** 4 * ab ** 5) - c * eb * B / (a ** 3 * ab ** 4)
-          + c * c * Gb / (a ** 4 * ab ** 4) - b * c * c * B / (a ** 5 * ab ** 4)
-          + c * e * B / (a ** 4 * ab ** 3) - bb * c * c * Rb / (a ** 4 * ab ** 5)
-          + c * d * Rb / (a ** 3 * ab ** 4) + c * c * db / (a ** 5 * ab ** 4)
-          - e * c * cb / (a ** 5 * ab ** 4))
-    v1 = v1 + (cb * Kb / (a ** 3 * ab ** 3) + c * cb * Fb / (a ** 4 * ab ** 4)
-               - bb * c * cb * Qb / (a ** 4 * ab ** 5)
-               + cb * d * Qb / (a ** 3 * ab ** 4)
-               - b * c * cb * Bb / (a ** 5 * ab ** 4)
-               + cb * e * Bb / (a ** 4 * ab ** 3)
-               - cb * cb * G / (a ** 4 * ab ** 4)
-               + bb * cb * cb * Bb / (a ** 4 * ab ** 5)
-               - cb * eb * Bb / (a ** 3 * ab ** 4)
-               + b * cb * cb * R / (a ** 5 * ab ** 4)
-               - cb * db * R / (a ** 4 * ab ** 3)
-               - cb * cb * d / (a ** 4 * ab ** 5)
-               + c * cb * eb / (a ** 4 * ab ** 5))
-    v1 = v1 + (-i * J / (a ** 2 * ab ** 2) - cb * E / (a ** 3 * ab ** 3)
-               + b * cb * P / (a ** 4 * ab ** 3) - db * P / (a ** 3 * ab ** 2)
-               + bb * cb * A / (a ** 3 * ab ** 4) - eb * A / (a ** 2 * ab ** 3)
-               + c * Eb / (a ** 3 * ab ** 3) - bb * c * Pb / (a ** 3 * ab ** 4)
-               + d * Pb / (a ** 2 * ab ** 3) - b * c * A / (a ** 4 * ab ** 3)
-               + e * A / (a ** 3 * ab ** 2)
-               - i * b * c * eb / (a ** 4 * ab ** 4)
-               - i * bb * cb * e / (a ** 4 * ab ** 4)
-               + i * e * eb / (a ** 3 * ab ** 3)
-               + i * b * cb * d / (a ** 4 * ab ** 4)
-               + i * bb * c * db / (a ** 4 * ab ** 4)
-               - i * d * db / (a ** 3 * ab ** 3))
-    ref["V1"] = v1
-    ref["V2"] = (c * F / (a ** 3 * ab ** 2) - b * c * Q / (a ** 4 * ab ** 2)
-                 - bb * c * B / (a ** 3 * ab ** 3) + c * e / (a ** 4 * ab ** 2)
-                 + cb * G / (a ** 3 * ab ** 2) - bb * cb * Bb / (a ** 3 * ab ** 3)
-                 - b * cb * R / (a ** 4 * ab ** 2) + cb * d / (a ** 3 * ab ** 3)
-                 + E / (a ** 2 * ab) - b * P / (a ** 3 * ab)
-                 - bb * A / (a ** 2 * ab ** 2) + i * bb * e / (a ** 3 * ab ** 2)
-                 - i * b * d / (a ** 3 * ab ** 2))
-    ref["V3"] = (c * Q / (a ** 3 * ab) - c * c / (a ** 4 * ab ** 2)
-                 + cb * R / (a ** 3 * ab) + P / a ** 2
-                 - i * bb * c / (a ** 3 * ab ** 2) + i * d / (a ** 2 * ab))
-    ref["V4"] = (c * B / (a ** 2 * ab ** 2) + cb * Bb / (a ** 2 * ab ** 2)
-                 - c * cb / (a ** 3 * ab ** 3) + A / (a * ab)
-                 + i * b * c / (a ** 3 * ab ** 2) - i * e / (a ** 2 * ab))
-    ref["V8"] = c / (a ** 2 * ab) + i * bb / (a * ab)
+    ref["V1"] = ctx.sum((-1, c, K, over(3, 3)), (-1, c, cb, F, over(4, 4)),
+                        (b, c, cb, Q, over(5, 4)), (-1, c, db, Q, over(4, 3)),
+                        (bb, c, cb, B, over(4, 5)), (-1, c, eb, B, over(3, 4)),
+                        (c, c, Gb, over(4, 4)), (-1, b, c, c, B, over(5, 4)),
+                        (c, e, B, over(4, 3)), (-1, bb, c, c, Rb, over(4, 5)),
+                        (c, d, Rb, over(3, 4)), (c, c, db, over(5, 4)),
+                        (-1, e, c, cb, over(5, 4)), (cb, Kb, over(3, 3)),
+                        (c, cb, Fb, over(4, 4)),
+                        (-1, bb, c, cb, Qb, over(4, 5)),
+                        (cb, d, Qb, over(3, 4)),
+                        (-1, b, c, cb, Bb, over(5, 4)),
+                        (cb, e, Bb, over(4, 3)), (-1, cb, cb, G, over(4, 4)),
+                        (bb, cb, cb, Bb, over(4, 5)),
+                        (-1, cb, eb, Bb, over(3, 4)),
+                        (b, cb, cb, R, over(5, 4)),
+                        (-1, cb, db, R, over(4, 3)),
+                        (-1, cb, cb, d, over(4, 5)), (c, cb, eb, over(4, 5)),
+                        (-1, i, J, over(2, 2)), (-1, cb, E, over(3, 3)),
+                        (b, cb, P, over(4, 3)), (-1, db, P, over(3, 2)),
+                        (bb, cb, A, over(3, 4)), (-1, eb, A, over(2, 3)),
+                        (c, Eb, over(3, 3)), (-1, bb, c, Pb, over(3, 4)),
+                        (d, Pb, over(2, 3)), (-1, b, c, A, over(4, 3)),
+                        (e, A, over(3, 2)), (-1, i, b, c, eb, over(4, 4)),
+                        (-1, i, bb, cb, e, over(4, 4)), (i, e, eb, over(3, 3)),
+                        (i, b, cb, d, over(4, 4)), (i, bb, c, db, over(4, 4)),
+                        (-1, i, d, db, over(3, 3)))
+    ref["V2"] = ctx.sum((c, F, over(3, 2)), (-1, b, c, Q, over(4, 2)),
+                        (-1, bb, c, B, over(3, 3)), (c, e, over(4, 2)),
+                        (cb, G, over(3, 2)), (-1, bb, cb, Bb, over(3, 3)),
+                        (-1, b, cb, R, over(4, 2)), (cb, d, over(3, 3)),
+                        (E, over(2, 1)), (-1, b, P, over(3, 1)),
+                        (-1, bb, A, over(2, 2)), (i, bb, e, over(3, 2)),
+                        (-1, i, b, d, over(3, 2)))
+    ref["V3"] = ctx.sum((c, Q, over(3, 1)), (-1, c, c, over(4, 2)),
+                        (cb, R, over(3, 1)), (P, over(2, 0)),
+                        (-1, i, bb, c, over(3, 2)), (i, d, over(2, 1)))
+    ref["V4"] = ctx.sum((c, B, over(2, 2)), (cb, Bb, over(2, 2)),
+                        (-1, c, cb, over(3, 3)), (A, over(1, 1)),
+                        (i, b, c, over(3, 2)), (-1, i, e, over(2, 1)))
+    ref["V8"] = ctx.sum((c, over(2, 1)), (i, bb, over(1, 1)))
 
-    w1 = (-e * K / (a ** 3 * ab ** 3) - cb * e * F / (a ** 4 * ab ** 4)
-          + b * cb * e * Q / (a ** 5 * ab ** 4) - db * e * Q / (a ** 4 * ab ** 3)
-          + bb * cb * e * B / (a ** 4 * ab ** 5) - e * eb * B / (a ** 3 * ab ** 4)
-          + c * e * Gb / (a ** 4 * ab ** 4) - b * c * e * B / (a ** 5 * ab ** 4)
-          + e * e * B / (a ** 4 * ab ** 3) - bb * c * e * Rb / (a ** 4 * ab ** 5)
-          + d * e * Rb / (a ** 3 * ab ** 4) + c * db * e / (a ** 5 * ab ** 4)
-          - cb * e * e / (a ** 5 * ab ** 4))
-    w1 = w1 + (db * Kb / (a ** 3 * ab ** 3) + c * db * Fb / (a ** 4 * ab ** 4)
-               - bb * c * db * Qb / (a ** 4 * ab ** 5)
-               + d * db * Qb / (a ** 3 * ab ** 4)
-               - b * c * db * Bb / (a ** 5 * ab ** 4)
-               + db * e * Bb / (a ** 4 * ab ** 3)
-               - cb * db * G / (a ** 4 * ab ** 4)
-               + bb * cb * db * Bb / (a ** 4 * ab ** 5)
-               - db * eb * Bb / (a ** 3 * ab ** 4)
-               + b * cb * db * R / (a ** 5 * ab ** 4)
-               - db * db * R / (a ** 4 * ab ** 3)
-               - cb * d * db / (a ** 4 * ab ** 5)
-               + c * db * eb / (a ** 4 * ab ** 5))
-    w1 = w1 + (-i * b * J / (a ** 3 * ab ** 3) - b * cb * E / (a ** 4 * ab ** 4)
-               + b * b * cb * P / (a ** 5 * ab ** 4)
-               - b * db * P / (a ** 4 * ab ** 3)
-               + b * bb * cb * A / (a ** 4 * ab ** 5)
-               - b * eb * A / (a ** 3 * ab ** 4)
-               + b * c * Eb / (a ** 4 * ab ** 4)
-               - b * bb * c * Pb / (a ** 4 * ab ** 5)
-               + b * d * Pb / (a ** 3 * ab ** 4)
-               - b * b * c * A / (a ** 5 * ab ** 4)
-               + b * e * A / (a ** 4 * ab ** 3)
-               - i * b * b * c * eb / (a ** 5 * ab ** 5)
-               - i * b * bb * cb * e / (a ** 5 * ab ** 5)
-               + i * b * e * eb / (a ** 4 * ab ** 4)
-               + i * b * b * cb * d / (a ** 5 * ab ** 5)
-               + i * b * bb * c * db / (a ** 5 * ab ** 5)
-               - i * b * d * db / (a ** 4 * ab ** 4))
-    ref["W1"] = w1
-    ref["W2"] = (e * F / (a ** 3 * ab ** 2) - b * e * Q / (a ** 4 * ab ** 2)
-                 - bb * e * B / (a ** 3 * ab ** 3) + e * e / (a ** 4 * ab ** 2)
-                 + db * G / (a ** 3 * ab ** 2) - bb * db * Bb / (a ** 3 * ab ** 3)
-                 - b * db * R / (a ** 4 * ab ** 2) + d * db / (a ** 3 * ab ** 3)
-                 + b * E / (a ** 3 * ab ** 2) - b * b * P / (a ** 4 * ab ** 2)
-                 - b * bb * A / (a ** 3 * ab ** 3)
-                 + i * b * bb * e / (a ** 4 * ab ** 3)
-                 - i * b * b * d / (a ** 4 * ab ** 3))
-    ref["W3"] = (e * Q / (a ** 3 * ab) - c * e / (a ** 4 * ab ** 2)
-                 + db * R / (a ** 3 * ab) + b * P / (a ** 3 * ab)
-                 - i * b * bb * c / (a ** 4 * ab ** 3)
-                 + i * b * d / (a ** 3 * ab ** 2))
-    ref["W4"] = (e * B / (a ** 2 * ab ** 2) + db * Bb / (a ** 2 * ab ** 2)
-                 - c * db / (a ** 3 * ab ** 3) + b * A / (a ** 2 * ab ** 2)
-                 + i * b * b * c / (a ** 4 * ab ** 3)
-                 - i * b * e / (a ** 3 * ab ** 2))
-    ref["W5"] = (e * Gb / (a ** 2 * ab ** 3) - b * e * B / (a ** 3 * ab ** 3)
-                 - bb * e * Rb / (a ** 2 * ab ** 4) + db * e / (a ** 3 * ab ** 3)
-                 + db * Fb / (a ** 2 * ab ** 3) - bb * db * Qb / (a ** 2 * ab ** 4)
-                 - b * db * Bb / (a ** 3 * ab ** 3) + eb * db / (a ** 2 * ab ** 4)
-                 + b * Eb / (a ** 2 * ab ** 3) - b * bb * Pb / (a ** 2 * ab ** 4)
-                 - b * b * A / (a ** 3 * ab ** 3)
-                 - i * b * b * eb / (a ** 3 * ab ** 4)
-                 + i * b * bb * db / (a ** 3 * ab ** 4))
-    ref["W6"] = (e * B / (a ** 2 * ab ** 2) - cb * e / (a ** 3 * ab ** 3)
-                 + db * Bb / (a ** 2 * ab ** 2) + b * A / (a ** 2 * ab ** 2)
-                 - i * b * bb * cb / (a ** 3 * ab ** 4)
-                 + i * b * eb / (a ** 2 * ab ** 3))
-    ref["W7"] = (e * Rb / (a * ab ** 3) + db * Qb / (a * ab ** 3)
-                 - cb * db / (a ** 2 * ab ** 4) + b * Pb / (a * ab ** 3)
-                 + i * b * b * cb / (a ** 3 * ab ** 4)
-                 - i * b * db / (a ** 2 * ab ** 3))
-    ref["W8"] = e / (a ** 2 * ab) + i * b * bb / (a ** 2 * ab ** 2)
-    ref["W9"] = db / (a * ab ** 2) - i * b * b / (a ** 2 * ab ** 2)
+    ref["W1"] = ctx.sum((-1, e, K, over(3, 3)), (-1, cb, e, F, over(4, 4)),
+                        (b, cb, e, Q, over(5, 4)), (-1, db, e, Q, over(4, 3)),
+                        (bb, cb, e, B, over(4, 5)), (-1, e, eb, B, over(3, 4)),
+                        (c, e, Gb, over(4, 4)), (-1, b, c, e, B, over(5, 4)),
+                        (e, e, B, over(4, 3)), (-1, bb, c, e, Rb, over(4, 5)),
+                        (d, e, Rb, over(3, 4)), (c, db, e, over(5, 4)),
+                        (-1, cb, e, e, over(5, 4)), (db, Kb, over(3, 3)),
+                        (c, db, Fb, over(4, 4)),
+                        (-1, bb, c, db, Qb, over(4, 5)),
+                        (d, db, Qb, over(3, 4)),
+                        (-1, b, c, db, Bb, over(5, 4)),
+                        (db, e, Bb, over(4, 3)), (-1, cb, db, G, over(4, 4)),
+                        (bb, cb, db, Bb, over(4, 5)),
+                        (-1, db, eb, Bb, over(3, 4)),
+                        (b, cb, db, R, over(5, 4)),
+                        (-1, db, db, R, over(4, 3)),
+                        (-1, cb, d, db, over(4, 5)), (c, db, eb, over(4, 5)),
+                        (-1, i, b, J, over(3, 3)), (-1, b, cb, E, over(4, 4)),
+                        (b, b, cb, P, over(5, 4)), (-1, b, db, P, over(4, 3)),
+                        (b, bb, cb, A, over(4, 5)), (-1, b, eb, A, over(3, 4)),
+                        (b, c, Eb, over(4, 4)), (-1, b, bb, c, Pb, over(4, 5)),
+                        (b, d, Pb, over(3, 4)), (-1, b, b, c, A, over(5, 4)),
+                        (b, e, A, over(4, 3)),
+                        (-1, i, b, b, c, eb, over(5, 5)),
+                        (-1, i, b, bb, cb, e, over(5, 5)),
+                        (i, b, e, eb, over(4, 4)),
+                        (i, b, b, cb, d, over(5, 5)),
+                        (i, b, bb, c, db, over(5, 5)),
+                        (-1, i, b, d, db, over(4, 4)))
+    ref["W2"] = ctx.sum((e, F, over(3, 2)), (-1, b, e, Q, over(4, 2)),
+                        (-1, bb, e, B, over(3, 3)), (e, e, over(4, 2)),
+                        (db, G, over(3, 2)), (-1, bb, db, Bb, over(3, 3)),
+                        (-1, b, db, R, over(4, 2)), (d, db, over(3, 3)),
+                        (b, E, over(3, 2)), (-1, b, b, P, over(4, 2)),
+                        (-1, b, bb, A, over(3, 3)), (i, b, bb, e, over(4, 3)),
+                        (-1, i, b, b, d, over(4, 3)))
+    ref["W3"] = ctx.sum((e, Q, over(3, 1)), (-1, c, e, over(4, 2)),
+                        (db, R, over(3, 1)), (b, P, over(3, 1)),
+                        (-1, i, b, bb, c, over(4, 3)), (i, b, d, over(3, 2)))
+    ref["W4"] = ctx.sum((e, B, over(2, 2)), (db, Bb, over(2, 2)),
+                        (-1, c, db, over(3, 3)), (b, A, over(2, 2)),
+                        (i, b, b, c, over(4, 3)), (-1, i, b, e, over(3, 2)))
+    ref["W5"] = ctx.sum((e, Gb, over(2, 3)), (-1, b, e, B, over(3, 3)),
+                        (-1, bb, e, Rb, over(2, 4)), (db, e, over(3, 3)),
+                        (db, Fb, over(2, 3)), (-1, bb, db, Qb, over(2, 4)),
+                        (-1, b, db, Bb, over(3, 3)), (eb, db, over(2, 4)),
+                        (b, Eb, over(2, 3)), (-1, b, bb, Pb, over(2, 4)),
+                        (-1, b, b, A, over(3, 3)),
+                        (-1, i, b, b, eb, over(3, 4)),
+                        (i, b, bb, db, over(3, 4)))
+    ref["W6"] = ctx.sum((e, B, over(2, 2)), (-1, cb, e, over(3, 3)),
+                        (db, Bb, over(2, 2)), (b, A, over(2, 2)),
+                        (-1, i, b, bb, cb, over(3, 4)), (i, b, eb, over(2, 3)))
+    ref["W7"] = ctx.sum((e, Rb, over(1, 3)), (db, Qb, over(1, 3)),
+                        (-1, cb, db, over(2, 4)), (b, Pb, over(1, 3)),
+                        (i, b, b, cb, over(3, 4)), (-1, i, b, db, over(2, 3)))
+    ref["W8"] = ctx.sum((e, over(2, 1)), (i, b, bb, over(2, 2)))
+    ref["W9"] = ctx.sum((db, over(1, 2)), (-1, i, b, b, over(2, 2)))
     ref["W10"] = i * b / (a * ab)
     return ref
 

@@ -67,7 +67,7 @@ Each shortcut returns exactly what the reduction it skips would return.
 Each Context caches work whose inputs never change once an atom is
 registered, so the normalization chain does not redo it:
   * `_expand(den)`: the product prod(atom^e) per denominator tuple;
-  * `_atom_deriv(aid, k)`: the derivative of an atom in variable k;
+  * `_partial(k)`: the derivation d/dx_k, which caches its atom derivatives;
   * `_conj_scale(aid)`: the scalar s with conj(atom) = s * conjugate atom;
   * `_atom_image(aid, v)`: an atom's certificate image in variable v;
   * `_mono_images[v]`: a monomial's certificate image in variable v;
@@ -80,8 +80,9 @@ new one.  Results are identical to recomputing.
 
 This is the only module that knows the kernel.  Other modules work through
 `Expr`'s methods (arithmetic, `is_zero`, `conj`, `diff`, `subs`, `evaluate`,
-`variables`, `laurent_terms`) and read monomials and coefficients through
-`numerator().terms()`; a change of kernel only has to change this file.
+`variables`, `laurent_terms`), `Derivation` and `Context.sum`, and read
+monomials and coefficients through `numerator().terms()`; a change of kernel
+only has to change this file.
 """
 
 from __future__ import annotations
@@ -334,30 +335,27 @@ def _const(g: GaussRat) -> _ZIPoly:
     return _ZIPoly({0: (g._a, g._b)} if g._a or g._b else {}, g._d)
 
 
-def _add(p: _ZIPoly, q: _ZIPoly) -> _ZIPoly:
-    if len(p.t) < len(q.t):
-        p, q = q, p
-    if p.d == q.d:
-        d = p.d
-        t = dict(p.t)
-        qt = q.t
-    else:
-        d = lcm(p.d, q.d)
-        sp, sq = d // p.d, d // q.d
-        t = {m: (re * sp, im * sp) for m, (re, im) in p.t.items()}
-        qt = {m: (re * sq, im * sq) for m, (re, im) in q.t.items()}
+def _add(*ps: _ZIPoly) -> _ZIPoly:
+    """The sum of any number of polynomials, with one gcd pass at the end."""
+    if len(ps) < 2:
+        return ps[0] if ps else _ZIPoly({})
+    big, d = 0, ps[0].d                 # copy the largest, add the others in
+    for k in range(1, len(ps)):
+        if len(ps[k].t) > len(ps[big].t):
+            big = k
+        if ps[k].d != d:
+            d = lcm(d, ps[k].d)
+    s = d // ps[big].d
+    t = dict(ps[big].t) if s == 1 else {m: (re * s, im * s) for m, (re, im) in ps[big].t.items()}
     get = t.get
-    for m, (re, im) in qt.items():
-        o = get(m)
-        if o is None:
-            t[m] = (re, im)
-        else:
-            re += o[0]
-            im += o[1]
-            if re or im:
-                t[m] = (re, im)
-            else:
-                del t[m]
+    for p in ps[:big] + ps[big + 1:]:
+        s = d // p.d
+        items = p.t.items() if s == 1 else [(m, (re * s, im * s)) for m, (re, im) in p.t.items()]
+        for m, (re, im) in items:
+            o = get(m)
+            t[m] = (re, im) if o is None else (o[0] + re, o[1] + im)
+    if (0, 0) in t.values():
+        t = {m: c for m, c in t.items() if c[0] or c[1]}
     return _reduced(t, d)
 
 
@@ -467,7 +465,7 @@ class Context:
         self._atom_div: list[tuple] = []
         # caches of results that never change once an atom is registered
         self._expanded: dict[tuple, _ZIPoly] = {}             # den -> product
-        self._atom_derivs: dict[tuple[int, int], _ZIPoly] = {}  # (aid, var)
+        self._partials: dict[int, Derivation] = {}            # var -> d/dvar
         self._conj_scales: dict[int, GaussRat] = {}           # aid -> scalar
         self._atom_images: dict[tuple[int, int], list] = {}   # (aid, var)
         self._mono_images = tuple({} for _ in names)          # var: {m: image}
@@ -503,6 +501,50 @@ class Context:
             e = Expr(self, _const(g), ())
             self._consts[value] = e
         return e
+
+    def sum(self, *terms) -> "Expr":
+        """The sum of the terms, reduced once.
+
+        A term is an Expr, a constant, or a tuple of such factors standing for
+        their product, taken without intermediate reduction.  The terms are
+        grouped by denominator and added, the groups brought over the lcm of
+        their denominators and added, and the total reduced once: the value
+        of the left fold of `+`, which reduces after every addition.
+        """
+        if len(terms) == 1 and isinstance(terms[0], Expr) and terms[0].ctx is self:
+            return terms[0]
+        groups: dict[tuple, list] = {}
+        for term in terms:
+            num, den = self._product(term if isinstance(term, tuple) else (term,))
+            if num:
+                groups.setdefault(tuple(sorted(den.items())), []).append(num)
+        lcm_den = _lcm_den(groups)
+        total = _add(*(_lift(self, _add(*nums), den, lcm_den)
+                       for den, nums in groups.items()))
+        return Expr._make(self, total, lcm_den)
+
+    def _product(self, factors) -> tuple[_ZIPoly, dict]:
+        """(numerator, denominator) of a product of Exprs and constants."""
+        num, den, scale = None, {}, None
+        for f in factors:
+            if isinstance(f, Expr):
+                if f.ctx is not self:
+                    raise ExactError("mixed contexts")
+                num = f.num if num is None else _mul(num, f.num, self._top)
+                for aid, e in f.den:
+                    den[aid] = den.get(aid, 0) + e
+            else:
+                c = GaussRat._coerce(f)
+                if c is NotImplemented:
+                    raise TypeError(f"not a term factor: {type(f).__name__}")
+                scale = c if scale is None else scale * c
+        if scale is None:
+            return (self.one.num if num is None else num), den
+        if scale.is_zero:
+            return _ZIPoly({}), {}
+        if num is None:
+            return _const(scale), {}
+        return _scale(num, scale._a, scale._b, scale._d), den
 
     # -- packed monomials ----------------------------------------------------
 
@@ -706,12 +748,11 @@ class Context:
             self._expanded[den] = p
         return p
 
-    def _atom_deriv(self, aid: int, k: int) -> _ZIPoly:
-        """d atom / d (variable k), computed once per pair."""
-        key = (aid, k)
-        d = self._atom_derivs.get(key)
+    def _partial(self, k: int) -> "Derivation":
+        """d / d(variable k), built once per variable."""
+        d = self._partials.get(k)
         if d is None:
-            d = self._atom_derivs[key] = self._diff_poly(self._atoms[aid], k)
+            d = self._partials[k] = Derivation(self, {self.names[k]: self.one})
         return d
 
     def _conj_scale(self, aid: int) -> GaussRat:
@@ -916,17 +957,9 @@ class Expr:
         if not self.num:
             return o
         ctx = self.ctx
-        d1, d2 = dict(self.den), dict(o.den)
-        lcm_den = dict(d1)
-        for aid, e in d2.items():
-            lcm_den[aid] = max(lcm_den.get(aid, 0), e)
-        m1 = tuple((aid, e - d1.get(aid, 0))
-                   for aid, e in lcm_den.items() if e > d1.get(aid, 0))
-        m2 = tuple((aid, e - d2.get(aid, 0))
-                   for aid, e in lcm_den.items() if e > d2.get(aid, 0))
-        n1 = _mul(self.num, ctx._expand(m1), ctx._top) if m1 else self.num
-        n2 = _mul(o.num, ctx._expand(m2), ctx._top) if m2 else o.num
-        return Expr._make(ctx, _add(n1, n2), lcm_den)
+        lcm_den = _lcm_den((self.den, o.den))
+        return Expr._make(ctx, _add(_lift(ctx, self.num, self.den, lcm_den),
+                                    _lift(ctx, o.num, o.den, lcm_den)), lcm_den)
 
     __radd__ = __add__
 
@@ -1022,29 +1055,17 @@ class Expr:
     def diff(self, name: str) -> "Expr":
         ctx = self.ctx
         k = ctx._index[name]
-        top = ctx._top
         if not self.den:
             return Expr(ctx, ctx._diff_poly(self.num, k), ())
-        # d(n / prod A^e) = [n' prod A - n * sum e_i A_i' prod_{j!=i} A_j] / prod A^{e+1}
-        simple = tuple((aid, 1) for aid, _ in self.den)
-        corr = ctx.zero.num
-        for i, (aid, e) in enumerate(self.den):
-            dA = ctx._atom_deriv(aid, k)
-            if not dA:
-                continue
-            t = _mul(ctx._expand(simple[:i] + simple[i + 1:]), dA, top)
-            corr = _add(corr, t if e == 1 else _scale(t, e, 0, 1))
-        new_num = _mul(ctx._diff_poly(self.num, k), ctx._expand(simple), top)
-        if corr:
-            new_num = _add(new_num, _neg(_mul(self.num, corr, top)))
-        new_den = {aid: e + 1 for aid, e in self.den}
-        return Expr._make(ctx, new_num, new_den)
+        return ctx._partial(k)(self)
 
     def subs(self, assignment: Mapping[str, "Expr"]) -> "Expr":
         """Substitute Exprs for variables (exact, by Horner-free expansion)."""
         ctx = self.ctx
         idx = {ctx._index[n]: v for n, v in assignment.items()}
         num = _subs_poly(ctx, self.num, idx)
+        if not self.den:
+            return num
         den = ctx.one
         for aid, e in self.den:
             den = den * _subs_poly(ctx, ctx._atoms[aid], idx) ** e
@@ -1113,6 +1134,81 @@ class Expr:
         return render(self)
 
     __repr__ = __str__
+
+
+class Derivation:
+    """X = sum_k c_k d/dx_k with Expr coefficients, applied by one quotient rule.
+
+    The coefficients are brought once over their common denominator D_c, so
+    X = Xt / D_c with polynomial coefficients.  For f = n / prod A_i^e_i,
+
+        X(f) = [S Xt(n) - n sum_i e_i (S / A_i) Xt(A_i)] / (D_c prod A_i^e_i S)
+
+    where S is the product of the atoms that X moves (Xt(A_i) != 0).  Xt(A_i)
+    is computed once per atom, and the result takes one reduction.
+    `Expr.diff` is the case X = d/dx_k.
+    """
+
+    __slots__ = ("ctx", "den", "parts", "_moved")
+
+    def __init__(self, ctx: Context, coeffs: Mapping[str, Expr]):
+        coeffs = {ctx._index[n]: c for n, c in coeffs.items() if not c.is_zero}
+        self.ctx = ctx
+        self.den = _lcm_den(c.den for c in coeffs.values())
+        # (k, Xt's coefficient of d/dx_k), None standing for 1
+        parts = []
+        for k, c in coeffs.items():
+            ct = _lift(ctx, c.num, c.den, self.den)
+            parts.append((k, None if ct == ctx.one.num else ct))
+        self.parts = tuple(parts)
+        self._moved: dict[int, _ZIPoly] = {}                  # aid -> Xt(atom)
+
+    def _poly(self, p: _ZIPoly) -> _ZIPoly:
+        """Xt(p) for a polynomial p."""
+        ctx = self.ctx
+        return _add(*(ctx._diff_poly(p, k) if ct is None
+                      else _mul(ct, ctx._diff_poly(p, k), ctx._top)
+                      for k, ct in self.parts))
+
+    def __call__(self, f: Expr) -> Expr:
+        ctx, top = self.ctx, self.ctx._top
+        moved = []
+        for aid, e in f.den:
+            dA = self._moved.get(aid)
+            if dA is None:
+                dA = self._moved[aid] = self._poly(ctx._atoms[aid])
+            if dA:
+                moved.append((aid, e, dA))
+        num = self._poly(f.num)
+        den = dict(f.den)
+        if moved:
+            S = tuple((aid, 1) for aid, _, _ in moved)
+            corr = _add(*(_scale(_mul(ctx._expand(S[:j] + S[j + 1:]), dA, top), e, 0, 1)
+                          for j, (aid, e, dA) in enumerate(moved)))
+            for aid, _, _ in moved:
+                den[aid] += 1
+            num = _add(_mul(num, ctx._expand(S), top), _neg(_mul(f.num, corr, top)))
+        for aid, e in self.den.items():
+            den[aid] = den.get(aid, 0) + e
+        return Expr._make(ctx, num, den)
+
+
+def _lcm_den(dens) -> dict:
+    """The least common multiple of factored denominators, as {atom: exponent}."""
+    out: dict[int, int] = {}
+    for den in dens:
+        for aid, e in den:
+            if e > out.get(aid, 0):
+                out[aid] = e
+    return out
+
+
+def _lift(ctx: Context, num: _ZIPoly, den: tuple, to: dict) -> _ZIPoly:
+    """num times the atoms of the multiple `to` of den that den lacks."""
+    have = dict(den)
+    extra = tuple((aid, e - have.get(aid, 0))
+                  for aid, e in to.items() if e > have.get(aid, 0))
+    return _mul(num, ctx._expand(extra), ctx._top) if extra else num
 
 
 def _subs_poly(ctx: Context, p: _ZIPoly, idx: Mapping[int, Expr]) -> Expr:

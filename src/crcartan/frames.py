@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import Context, Expr, GaussRat, I, standard_context
+from .exact import Context, Derivation, Expr, GaussRat, I, standard_context
 from .liealg import rank
 
 BASE_VARS = ("x", "y", "u1", "u2", "u3")
@@ -114,7 +114,7 @@ class VectorField:
     pair; conjugation is then plain componentwise conjugation.
     """
 
-    __slots__ = ("ctx", "coeffs", "_memo")
+    __slots__ = ("ctx", "coeffs", "_memo", "_derivation")
 
     def __init__(self, ctx: Context, coeffs):
         coeffs = tuple(coeffs)
@@ -123,6 +123,7 @@ class VectorField:
         self.ctx = ctx
         self.coeffs = coeffs
         self._memo = {}
+        self._derivation = None
 
     @classmethod
     def zero(cls, ctx: Context) -> "VectorField":
@@ -131,6 +132,7 @@ class VectorField:
     def apply(self, f: Expr) -> Expr:
         """Apply as a derivation (group parameters are constants).
 
+        The whole field is one `Derivation`, built on the first call.
         Results are memoized per argument object: the pipeline applies the
         same frame fields to the same handful of structure functions many
         times over.
@@ -138,10 +140,9 @@ class VectorField:
         hit = self._memo.get(id(f))
         if hit is not None and hit[0] is f:
             return hit[1]
-        out = self.ctx.zero
-        for c, v in zip(self.coeffs, BASE_VARS):
-            if not c.is_zero:
-                out = out + c * f.diff(v)
+        if self._derivation is None:
+            self._derivation = Derivation(self.ctx, dict(zip(BASE_VARS, self.coeffs)))
+        out = self._derivation(f)
         if len(self._memo) < 4096:
             self._memo[id(f)] = (f, out)
         return out
@@ -379,7 +380,8 @@ def efgjk_from_formulas(sf: StructureFunctions) -> dict[str, Expr]:
     """E, F, G, J, K recomputed from P, Q, R, A, B and their frame derivatives.
 
     Independent of the direct bracket decomposition; valid for the bracket
-    scaling T = i[L, Lbar] (the s12 convention).
+    scaling T = i[L, Lbar] (the s12 convention).  Each formula is one
+    `ctx.sum`: a tuple is one term, its factors multiplied unreduced.
     """
     ctx = sf.frame.ctx
     i = ctx.const(I)
@@ -387,28 +389,28 @@ def efgjk_from_formulas(sf: StructureFunctions) -> dict[str, Expr]:
     Lb = lambda h: sf.frame.Lbar.apply(h)
     P, Q, R, A, B = sf.P, sf.Q, sf.R, sf.A, sf.B
     Pb, Qb, Rb, Bb = P.conj(), Q.conj(), R.conj(), B.conj()
-    E = -i * Lb(P) - i * A * Q - i * Pb * R + i * L(A) + i * B * P + i * A * Bb
-    F = -i * Lb(Q) - i * R * Rb + i * A + i * L(B) + i * B * Bb
-    G = (-i * P - i * Bb * Q - i * R * Qb - i * Lb(R) + i * B * R
-         + i * Bb * Bb + i * L(Bb))
-    m2J = (-Lb(Lb(P)) + Lb(L(A)) + L(Lb(A)) - L(L(Pb))
-           - Q * Lb(A) - 2 * A * Lb(Q) - R * Lb(Pb) - 2 * Pb * Lb(R)
-           - 2 * A * R * Rb - 2 * P * Pb - Bb * Pb * Q - Pb * Qb * R
-           - Rb * L(P) - 2 * P * L(Rb) - Qb * L(A) - 2 * A * L(Qb)
-           - P * Q * Rb - B * P * Qb
-           + 2 * P * Lb(B) + B * Lb(P) + 2 * A * Lb(Bb) + Bb * Lb(A)
-           + 2 * A * L(B) + 2 * A * A + 2 * A * B * Bb + 2 * Pb * L(Bb)
-           + B * Pb * R + Bb * Bb * Pb + B * L(A) + Bb * L(Pb)
-           + B * B * P + Bb * P * Rb)
+    E = i * ctx.sum(-Lb(P), (-1, A, Q), (-1, Pb, R), L(A), (B, P), (A, Bb))
+    F = i * ctx.sum(-Lb(Q), (-1, R, Rb), A, L(B), (B, Bb))
+    G = i * ctx.sum(-P, (-1, Bb, Q), (-1, R, Qb), -Lb(R), (B, R), (Bb, Bb),
+                    L(Bb))
+    m2J = ctx.sum(-Lb(Lb(P)), Lb(L(A)), L(Lb(A)), -L(L(Pb)), (-1, Q, Lb(A)),
+                  (-2, A, Lb(Q)), (-1, R, Lb(Pb)), (-2, Pb, Lb(R)),
+                  (-2, A, R, Rb), (-2, P, Pb), (-1, Bb, Pb, Q),
+                  (-1, Pb, Qb, R), (-1, Rb, L(P)), (-2, P, L(Rb)),
+                  (-1, Qb, L(A)), (-2, A, L(Qb)), (-1, P, Q, Rb),
+                  (-1, B, P, Qb), (2, P, Lb(B)), (B, Lb(P)), (2, A, Lb(Bb)),
+                  (Bb, Lb(A)), (2, A, L(B)), (2, A, A), (2, A, B, Bb),
+                  (2, Pb, L(Bb)), (B, Pb, R), (Bb, Bb, Pb), (B, L(A)),
+                  (Bb, L(Pb)), (B, B, P), (Bb, P, Rb))
     J = m2J / (-2)
-    i2K = (-Lb(Lb(Q)) + Lb(L(B)) + L(Lb(B)) - L(L(Rb))
-           - 2 * Rb * Lb(R) - R * Lb(Rb) - B * Lb(Q) - B * R * Rb
-           - 2 * P * Rb - Qb * R * Rb - 2 * L(Pb) - Rb * L(Q)
-           - 2 * Q * L(Rb) - Qb * L(B) - 2 * B * L(Qb) - A * Qb
-           - Pb * Q - Q * Q * Rb - B * Q * Qb
-           + 2 * Lb(A) + Bb * Lb(B) + 2 * B * Lb(Bb) + 3 * B * L(B)
-           + 3 * A * B + B * B * Q + 2 * B * B * Bb + 2 * Rb * L(Bb)
-           + Bb * Bb * Rb + Bb * L(Rb) + Bb * Pb + Q * Lb(B))
+    i2K = ctx.sum(-Lb(Lb(Q)), Lb(L(B)), L(Lb(B)), -L(L(Rb)), (-2, Rb, Lb(R)),
+                  (-1, R, Lb(Rb)), (-1, B, Lb(Q)), (-1, B, R, Rb), (-2, P, Rb),
+                  (-1, Qb, R, Rb), (-2, L(Pb)), (-1, Rb, L(Q)), (-2, Q, L(Rb)),
+                  (-1, Qb, L(B)), (-2, B, L(Qb)), (-1, A, Qb), (-1, Pb, Q),
+                  (-1, Q, Q, Rb), (-1, B, Q, Qb), (2, Lb(A)), (Bb, Lb(B)),
+                  (2, B, Lb(Bb)), (3, B, L(B)), (3, A, B), (B, B, Q),
+                  (2, B, B, Bb), (2, Rb, L(Bb)), (Bb, Bb, Rb), (Bb, L(Rb)),
+                  (Bb, Pb), (Q, Lb(B)))
     K = i2K / (2 * i)
     return {"E": E, "F": F, "G": G, "J": J, "K": K}
 
@@ -417,53 +419,53 @@ def jacobi_relations_check(sf: StructureFunctions, f: Frame | None = None) -> tu
     """The five length-six bracket identities, expanded on the given data.
 
     These must vanish identically for every valid frame (in the s12 scaling);
-    a nonzero residual signals an arithmetic bug.
+    a nonzero residual signals an arithmetic bug.  Each identity is one
+    `ctx.sum`, written as in `efgjk_from_formulas`.
     """
     frame = f or sf.frame
+    ctx = frame.ctx
     L = lambda h: frame.L.apply(h)
     Lb = lambda h: frame.Lbar.apply(h)
     P, Q, R, A, B = sf.P, sf.Q, sf.R, sf.A, sf.B
     Pb, Qb, Rb, Bb = P.conj(), Q.conj(), R.conj(), B.conj()
 
-    r1 = (2 * L(Lb(P)) - L(L(A)) - Lb(L(P))
-          - 2 * P * L(B) - B * L(P) - 2 * A * L(Bb) - Bb * L(A)
-          + P * Lb(Q) + A * L(Q) + 2 * Q * L(A) - Q * Lb(P)
-          + A * Lb(R) + 2 * R * L(Pb) + Pb * L(R) - R * Lb(A)
-          - P * B * Bb - A * Bb ** 2 + P * B * Q + 2 * A * Q * Bb - A * Q ** 2
-          - 2 * A * B * R + 2 * R * P * Rb + 2 * A * R * Qb
-          - Q * R * Pb - R * Bb * Pb)
+    r1 = ctx.sum((2, L(Lb(P))), -L(L(A)), -Lb(L(P)), (-2, P, L(B)),
+                 (-1, B, L(P)), (-2, A, L(Bb)), (-1, Bb, L(A)), (P, Lb(Q)),
+                 (A, L(Q)), (2, Q, L(A)), (-1, Q, Lb(P)), (A, Lb(R)),
+                 (2, R, L(Pb)), (Pb, L(R)), (-1, R, Lb(A)), (-1, P, B, Bb),
+                 (-1, A, Bb, Bb), (P, B, Q), (2, A, Q, Bb), (-1, A, Q, Q),
+                 (-2, A, B, R), (2, R, P, Rb), (2, A, R, Qb), (-1, Q, R, Pb),
+                 (-1, R, Bb, Pb))
 
-    r2 = (2 * L(Lb(Q)) - L(L(B)) - Lb(L(Q))
-          - 2 * L(A) - 2 * B * L(Bb) - Bb * L(B)
-          + B * Lb(R) + 2 * R * L(Rb) + Rb * L(R) - R * Lb(B) + Lb(P)
-          + 2 * R * Pb + B * Q * Bb - A * Bb - B * Bb ** 2 + A * Q
-          + Q * R * Rb + 2 * B * R * Qb - 2 * B ** 2 * R - R * Bb * Rb)
+    r2 = ctx.sum((2, L(Lb(Q))), -L(L(B)), -Lb(L(Q)), (-2, L(A)),
+                 (-2, B, L(Bb)), (-1, Bb, L(B)), (B, Lb(R)), (2, R, L(Rb)),
+                 (Rb, L(R)), (-1, R, Lb(B)), Lb(P), (2, R, Pb), (B, Q, Bb),
+                 (-1, A, Bb), (-1, B, Bb, Bb), (A, Q), (Q, R, Rb),
+                 (2, B, R, Qb), (-2, B, B, R), (-1, R, Bb, Rb))
 
-    r3 = (2 * L(Lb(R)) - L(L(Bb)) - Lb(L(R))
-          - 3 * Bb * L(Bb) + Bb * L(Q) + 2 * Q * L(Bb) - 2 * R * L(B)
-          - B * L(R) + R * Lb(Q) + Bb * Lb(R)
-          + 2 * R * L(Qb) + Qb * L(R) - Q * Lb(R)
-          - R * Lb(Bb) + L(P)
-          + 2 * Q * Bb ** 2 - Q * P - Q ** 2 * Bb - Bb ** 3 + P * Bb
-          - 2 * A * R - 3 * B * Bb * R + B * Q * R + 2 * R ** 2 * Rb
-          + R * Bb * Qb - Q * R * Qb)
+    r3 = ctx.sum((2, L(Lb(R))), -L(L(Bb)), -Lb(L(R)), (-3, Bb, L(Bb)),
+                 (Bb, L(Q)), (2, Q, L(Bb)), (-2, R, L(B)), (-1, B, L(R)),
+                 (R, Lb(Q)), (Bb, Lb(R)), (2, R, L(Qb)), (Qb, L(R)),
+                 (-1, Q, Lb(R)), (-1, R, Lb(Bb)), L(P), (2, Q, Bb, Bb),
+                 (-1, Q, P), (-1, Q, Q, Bb), (-1, Bb, Bb, Bb), (P, Bb),
+                 (-2, A, R), (-3, B, Bb, R), (B, Q, R), (2, R, R, Rb),
+                 (R, Bb, Qb), (-1, Q, R, Qb))
 
-    r4 = (-3 * Lb(L(A)) - L(L(Pb)) + 3 * L(Lb(A)) + Lb(Lb(P))
-          - 2 * A * L(Qb) - Qb * L(A) + 3 * B * L(A) + 3 * Bb * L(Pb)
-          - 3 * B * Lb(P) - 3 * Bb * Lb(A) + 2 * A * Lb(Q)
-          + Q * Lb(A) - 2 * P * L(Rb) - Rb * L(P)
-          + 2 * Pb * Lb(R) + R * Lb(Pb)
-          - B * P * Qb + 3 * B ** 2 * P + 2 * A * Bb * Qb - 2 * B * Q * A
-          - 3 * Bb ** 2 * Pb + Q * Bb * Pb - P * Q * Rb + 3 * P * Bb * Rb
-          - 3 * B * R * Pb + R * Pb * Qb)
+    r4 = ctx.sum((-3, Lb(L(A))), -L(L(Pb)), (3, L(Lb(A))), Lb(Lb(P)),
+                 (-2, A, L(Qb)), (-1, Qb, L(A)), (3, B, L(A)), (3, Bb, L(Pb)),
+                 (-3, B, Lb(P)), (-3, Bb, Lb(A)), (2, A, Lb(Q)), (Q, Lb(A)),
+                 (-2, P, L(Rb)), (-1, Rb, L(P)), (2, Pb, Lb(R)), (R, Lb(Pb)),
+                 (-1, B, P, Qb), (3, B, B, P), (2, A, Bb, Qb), (-2, B, Q, A),
+                 (-3, Bb, Bb, Pb), (Q, Bb, Pb), (-1, P, Q, Rb), (3, P, Bb, Rb),
+                 (-3, B, R, Pb), (R, Pb, Qb))
 
-    r5 = (-3 * Lb(L(B)) + 3 * L(Lb(B)) + Lb(Lb(Q)) - L(L(Rb))
-          + 3 * B * L(B) - 3 * Bb * Lb(B) + Q * Lb(B) - B * Lb(Q)
-          - 2 * Q * L(Rb) - Rb * L(Q)
-          - 2 * B * L(Qb) - Qb * L(B) + 3 * Bb * L(Rb)
-          + 2 * Rb * Lb(R) + R * Lb(Rb) - 2 * L(Pb)
-          - Q * Pb - A * Qb - B * Q * Qb + 3 * A * B + 3 * Bb * Pb
-          + 2 * B * Bb * Qb + B ** 2 * Q - Q ** 2 * Rb + 4 * Q * Bb * Rb
-          - 3 * B * R * Rb - 3 * Bb ** 2 * Rb + R * Qb * Rb)
+    r5 = ctx.sum((-3, Lb(L(B))), (3, L(Lb(B))), Lb(Lb(Q)), -L(L(Rb)),
+                 (3, B, L(B)), (-3, Bb, Lb(B)), (Q, Lb(B)), (-1, B, Lb(Q)),
+                 (-2, Q, L(Rb)), (-1, Rb, L(Q)), (-2, B, L(Qb)),
+                 (-1, Qb, L(B)), (3, Bb, L(Rb)), (2, Rb, Lb(R)), (R, Lb(Rb)),
+                 (-2, L(Pb)), (-1, Q, Pb), (-1, A, Qb), (-1, B, Q, Qb),
+                 (3, A, B), (3, Bb, Pb), (2, B, Bb, Qb), (B, B, Q),
+                 (-1, Q, Q, Rb), (4, Q, Bb, Rb), (-3, B, R, Rb),
+                 (-3, Bb, Bb, Rb), (R, Qb, Rb))
 
     return (r1, r2, r3, r4, r5)

@@ -411,7 +411,7 @@ def test_cache_warm_equals_cold(op):
     e, f = _cache_operands(warm)
     for g in CACHE_OPS.values():      # fill every cache
         g(e, f), g(f, e), g(e, e)
-    assert warm._expanded and warm._atom_derivs and warm._conj_scales
+    assert warm._expanded and warm._partials and warm._conj_scales
     assert warm._atom_images
     cold = standard_context()
     ce, cf = _cache_operands(cold)
@@ -443,7 +443,7 @@ def test_cache_contexts_share_no_entry():
     assert e1.den == e2.den           # same atom ids, different atoms
     for e in (e1, e2):
         e.diff("x"), e.diff("y"), e.conj(), e + 1, e.denominator()
-    for name in ("_expanded", "_atom_derivs", "_conj_scales", "_consts",
+    for name in ("_expanded", "_partials", "_conj_scales", "_consts",
                  "_atom_images"):
         d1, d2 = getattr(c1, name), getattr(c2, name)
         assert d1 is not d2
@@ -493,6 +493,167 @@ def test_equal_numbers_hash_equal(u, v):
 def test_const_cache_keys_by_value(ctx):
     assert ctx.const(2) is ctx.const(GaussRat(2))
     assert ctx.const(Fraction(1, 2)) is ctx.const(GaussRat(Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# derivations: one quotient rule, checked against the term-by-term rules
+# ---------------------------------------------------------------------------
+
+def _old_quotient_rule(e, name):
+    """d e / d name by the quotient rule that multiplies in every atom:
+
+        d(n / prod A^e) = [n' prod A - n sum e_i A_i' prod_{j != i} A_j] / prod A^(e+1)
+
+    with the atoms free of the variable divided back out by the reduction.
+    """
+    c = e.ctx
+    k, top = c.names.index(name), c._top
+    simple = tuple((aid, 1) for aid, _ in e.den)
+    corr = c.zero.num
+    for j, (aid, ex) in enumerate(e.den):
+        dA = c._diff_poly(c._atoms[aid], k)
+        if dA:
+            t = exact._mul(c._expand(simple[:j] + simple[j + 1:]), dA, top)
+            corr = exact._add(corr, exact._scale(t, ex, 0, 1))
+    num = exact._mul(c._diff_poly(e.num, k), c._expand(simple), top)
+    num = exact._add(num, exact._neg(exact._mul(e.num, corr, top)))
+    return Expr._make(c, num, {aid: ex + 1 for aid, ex in e.den})
+
+
+def _fold_derivation(coeffs, f):
+    """sum_k c_k * d f / d x_k, one `+` per term."""
+    out = f.ctx.zero
+    for name, c in coeffs.items():
+        if not c.is_zero:
+            out = out + c * f.diff(name)
+    return out
+
+
+# a moved atom, an atom free of x, and the monomial atom ab
+_DERIVATION_ATOMS = ("x*a + i*x*ab + 1", "y^2 + 1", "ab")
+
+
+def _derivation_case(c, rng):
+    """n / (A^e1 * B^e2 * ab^e3 * D): B and ab are free of x, D is random."""
+    atoms = [parse(c, t) for t in _DERIVATION_ATOMS]
+    for A in atoms:
+        A.inverse()                   # register the atoms one by one
+    den = c.zero
+    while den.is_zero:
+        den = _random_poly_expr(c, rng, nterms=2, maxdeg=1, maxco=3)
+    for A in atoms:
+        den = den * A ** rng.randint(1, 3)
+    return _random_poly_expr(c, rng) / den
+
+
+def test_derivation_cases_reach_every_shape():
+    c = standard_context()
+    rng = random.Random(5)
+    cases = [_derivation_case(c, rng) for _ in range(12)]
+    free = [aid for aid, A in enumerate(c._atoms)
+            if not (Poly(c, A).as_expr().variables() & {"x"})]
+    assert any(aid in free for f in cases for aid, _ in f.den)
+    assert any(ex > 1 and aid not in free for f in cases for aid, ex in f.den)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diff_equals_old_quotient_rule(seed):
+    c = standard_context()
+    rng = random.Random(seed)
+    for _ in range(6):
+        f = _derivation_case(c, rng)
+        for name in ("x", "y", "a", "ab", "u2"):
+            assert f.diff(name) == _old_quotient_rule(f, name), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derivation_equals_term_by_term_fold(seed):
+    c = standard_context()
+    rng = random.Random(100 + seed)
+    for _ in range(4):
+        f = _derivation_case(c, rng)
+        coeffs = {"x": _random_expr(c, rng), "y": c.zero, "u1": _random_expr(c, rng),
+                  "a": _random_poly_expr(c, rng), "ab": c.one}
+        X = exact.Derivation(c, coeffs)
+        assert X(f) == _fold_derivation(coeffs, f)
+        assert X(f.numerator().as_expr()) == _fold_derivation(coeffs, f.numerator().as_expr())
+    assert exact.Derivation(c, {"x": c.zero})(f).is_zero
+
+
+def test_diff_divides_out_no_atom_it_does_not_move():
+    """An atom free of the variable is never multiplied in and divided back out."""
+    c = standard_context()
+    rng = random.Random(7)
+    cases = [_derivation_case(c, rng) for _ in range(8)]
+    exact_div, divided = c._exact_div, []
+
+    def recording(num, aid, images):
+        q = exact_div(num, aid, images)
+        if q is not None:
+            divided.append(aid)
+        return q
+
+    c._exact_div = recording
+    for f in cases:
+        for name in ("x", "y"):
+            divided.clear()
+            f.diff(name)
+            moved = {aid for aid, _ in f.den if c._diff_poly(c._atoms[aid], c.names.index(name))}
+            assert set(divided) <= moved, name
+
+
+# ---------------------------------------------------------------------------
+# Context.sum: one reduction, checked against the left fold of +
+# ---------------------------------------------------------------------------
+
+def _fold_sum(c, terms):
+    out = c.zero
+    for t in terms:
+        if isinstance(t, tuple):
+            p = c.one
+            for f in t:
+                p = p * f
+            t = p
+        out = out + t
+    return out
+
+
+def test_sum_edge_cases(ctx):
+    x, y = ctx.vars("x", "y")
+    e = (x + 1) / (y ** 2 + 1)
+    assert ctx.sum() == ctx.zero and ctx.sum().is_zero
+    assert ctx.sum(0, ctx.zero, (x, 0), (0, e)).is_zero
+    assert ctx.sum(e) is e
+    assert ctx.sum((2, GaussRat(1, 3), e, x)) == 2 * GaussRat(1, 3) * e * x
+    assert ctx.sum(e, (-1, e)).is_zero
+    assert ctx.sum(e, (x, y), -e, (-1, y, x)).is_zero
+    assert ctx.sum(3, GaussRat(0, 1), Fraction(1, 2)) == ctx.const(GaussRat(Fraction(7, 2), 1))
+    with pytest.raises(TypeError):
+        ctx.sum((x, 1.5))
+    with pytest.raises(exact.ExactError):
+        ctx.sum(e, (standard_context().one, x))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sum_equals_left_fold(seed):
+    c = standard_context()
+    rng = random.Random(200 + seed)
+    pool = [_random_expr(c, rng) for _ in range(4)] + [_random_poly_expr(c, rng)]
+    terms = []
+    for _ in range(rng.randint(2, 9)):
+        shape = rng.randrange(4)
+        if shape == 0:
+            terms.append(rng.choice(pool))
+        elif shape == 1:
+            terms.append(rng.choice((1, -2, GaussRat(1, -1), Fraction(1, 3))))
+        else:
+            terms.append((rng.choice((1, -3, GaussRat(0, 2))),)
+                         + tuple(rng.choice(pool) for _ in range(shape)))
+    if seed % 2:
+        terms += [(-1,) + t if isinstance(t, tuple) else -t for t in terms]
+    total = c.sum(*terms)
+    assert total == _fold_sum(c, terms)
+    assert total.is_zero == bool(seed % 2)
 
 
 # ---------------------------------------------------------------------------

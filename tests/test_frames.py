@@ -4,7 +4,7 @@ import pytest
 
 from conftest import quartic_deformation, random_deformation
 from crcartan.exact import GaussRat, I, parse, standard_context
-from crcartan.frames import (FrameError, GraphingFunctions, VectorField,
+from crcartan.frames import (BASE_VARS, FrameError, GraphingFunctions, VectorField,
                              build_frame, cubic_model, efgjk_from_formulas,
                              invert_frame, jacobi_relations_check, lie_bracket,
                              structure_functions)
@@ -191,6 +191,28 @@ def test_frame_derivative_commutator_identity():
         i2 = ctx2.const(I)
         rhs = i2 * fr.L.apply(fr.Lbar.apply(e)) - i2 * fr.Lbar.apply(fr.L.apply(e))
         assert lhs == rhs
+
+
+def _fold_apply(X, f):
+    """X(f) as sum_k c_k * d f / d x_k, one `+` per nonzero coefficient."""
+    out = f.ctx.zero
+    for c, v in zip(X.coeffs, BASE_VARS):
+        if not c.is_zero:
+            out = out + c * f.diff(v)
+    return out
+
+
+@pytest.mark.parametrize("graph", [cubic_model, quartic_deformation])
+def test_frame_fields_equal_term_by_term_fold(graph):
+    fr = build_frame(graph(), "s12")
+    sf = structure_functions(fr)
+    args = list(sf.fundamental().values()) + [c for X in (fr.L, fr.S) for c in X.coeffs]
+    x, y, u1 = fr.ctx.vars("x", "y", "u1")
+    args += [fr.L.apply(sf.P), fr.Lbar.apply(sf.B), (x + u1) / (1 + x * x + y * u1) ** 2]
+    assert any(not f.is_polynomial for f in args)
+    for X in (fr.L, fr.Lbar, fr.T):
+        for f in args:
+            assert X.apply(f) == _fold_apply(X, f)
 
 
 # ---------------------------------------------------------------------------
